@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from toricmaxent import (
     ConstraintMatrix,
-    check_ones_in_rowspan,
     integer_kernel_basis,
     poly_to_text,
     toric_ideal_generators,
@@ -34,7 +33,6 @@ print("constraint matrix rows:")
 for row in independence.rows:
     print("  ", row)
 
-print("\nall-ones vector in the row span?", check_ones_in_rowspan(independence))
 
 kernel = integer_kernel_basis(independence)
 print("integer kernel basis:", kernel.vectors)
@@ -51,13 +49,28 @@ p = toric_param(independence, theta)
 print("\nparametrized point:", [str(v) for v in p])
 print("generator value there:", gens.binomials[0].evaluate(list(p)))
 
-# Membership checking evaluates every generator and compares to a tolerance.
+# Membership of a positive point needs no ideal.  The model is log-linear:
+# p is on it exactly when log(p / h) is a combination of the rows of A and
+# the all-ones row.  The residuals are the per-symbol errors of the best
+# such combination, so they do not depend on how p or h is scaled.
 report = verify_model_membership(list(p), independence)
-print("on the model?", report.member, " max residual:", report.max_residual)
+print("\non the model?", report.member, " max residual:", report.max_residual)
 
+# The correlated table misses by ln 2 in every cell: its log cross ratio
+# ln(0.4 * 0.4 / (0.1 * 0.1)) = 4 ln 2 is spread evenly over the 4 cells.
 off = [0.4, 0.1, 0.1, 0.4]
 report = verify_model_membership(off, independence)
-print("correlated table on the model?", report.member, " residual:", report.max_residual)
+print("correlated table on the model?", report.member, " residuals:", report.residuals)
+
+# A prior h reweights the model; the same test applies to log(p / h).
+prior = [1, 2, 3, 4]
+weighted = toric_param(independence, theta, h=prior)
+print("prior-weighted point, with its prior?", verify_model_membership(list(weighted), independence, prior=prior).member)
+print("prior-weighted point, without it?", verify_model_membership(list(weighted), independence).member)
+
+# A table with an empty cell has no logarithm there, so it counts as off the
+# model, even though it satisfies p1*p4 - p2*p3 = 0.
+print("table with zeros on the model?", verify_model_membership([0.5, 0.5, 0, 0], independence).member)
 
 # Saturation matters.  For the monomial curve below, the kernel basis
 # binomials generate a strictly smaller ideal than the model's full ideal;

@@ -55,7 +55,6 @@ from .toric import (
     LatticeBasis,
     MembershipReport,
     apply_monomial_lift,
-    check_ones_in_rowspan,
     integer_kernel_basis,
     toric_ideal_generators,
     toric_param,
@@ -86,7 +85,6 @@ __all__ = [
     "UnsupportedStructureError",
     "apply_monomial_lift",
     "buchberger",
-    "check_ones_in_rowspan",
     "direct_system",
     "dual_objective",
     "dual_system",

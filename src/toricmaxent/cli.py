@@ -9,6 +9,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,6 @@ from .maxent import (
 from .ratpoly import GREVLEX, LEX, MonomialOrder, poly_to_text
 from .toric import (
     ConstraintMatrix,
-    check_ones_in_rowspan,
     toric_ideal_generators,
     verify_model_membership,
 )
@@ -345,12 +345,7 @@ def _cmd_check(args, out, err) -> int:
     parsed = parse_problem(_read_text(args.problem))
     problem = parsed.to_problem()
     p = _read_distribution(args.dist, parsed.m)
-    matrix = problem.matrix
-    if not check_ones_in_rowspan(matrix):
-        # normalized distributions only satisfy homogeneous binomials, so
-        # test against the model of the matrix with a constant row adjoined
-        matrix = ConstraintMatrix(((1,) * matrix.m,) + matrix.rows)
-    report = verify_model_membership(p, matrix, tol=args.tol)
+    report = verify_model_membership(p, problem.matrix, tol=args.tol, prior=problem.prior)
     targets = [float(t) for t in problem.target_values()]
     mom = moments(problem.matrix, p)
     residuals = [abs(a - b) for a, b in zip(mom, targets)]
@@ -435,8 +430,11 @@ def main(argv=None, out=None, err=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
-    if args.tol <= 0:
-        err.write("error: --tol must be positive\n")
+    if not 0 < args.tol < math.inf:
+        err.write("error: --tol must be positive and finite\n")
+        return EXIT_INPUT
+    if getattr(args, "max_iter", None) is not None and args.max_iter < 1:
+        err.write("error: --max-iter must be at least 1\n")
         return EXIT_INPUT
     try:
         return _COMMANDS[args.command](args, out, err)

@@ -452,11 +452,15 @@ def _fit_newton(arr, h, targets, tol, max_iter):
             raise InfeasibleMomentsError("multipliers diverged; moments are not attainable")
         value = log_z + float(xi @ targets)
         slope = float(gap @ step)
+        # when the decrease Armijo asks for is below the float resolution of
+        # the dual value, the test only compares rounding noise: take the
+        # full Newton step instead of halving it away
+        resolvable = value - 1e-4 * slope < value
         alpha = 1.0
         while True:
             trial = xi + alpha * step
             trial_p, trial_log_z = distribution(trial)
-            if trial_log_z + float(trial @ targets) <= value - 1e-4 * alpha * slope:
+            if not resolvable or trial_log_z + float(trial @ targets) <= value - 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
             if alpha < 2**-30:
@@ -567,23 +571,26 @@ def _upoly_derivative(c: Sequence[Fraction]) -> list[Fraction]:
     return [i * c[i] for i in range(1, len(c))]
 
 
-def _upoly_rem(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+def _upoly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of ``a`` by a nonzero ``b``, coefficients low to high."""
     r = _upoly_trim(list(a))
     db, lead = len(b) - 1, b[-1]
+    q = [Fraction(0)] * max(len(r) - db, 0)
     while r and len(r) - 1 >= db:
         shift = len(r) - 1 - db
         factor = r[-1] / lead
+        q[shift] = factor
         for i in range(db + 1):
             r[shift + i] -= factor * b[i]
         r.pop()  # the top coefficient cancels exactly
         _upoly_trim(r)
-    return r
+    return _upoly_trim(q), r
 
 
 def _upoly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     a, b = _upoly_trim(list(a)), _upoly_trim(list(b))
     while b:
-        a, b = b, _upoly_rem(a, b)
+        a, b = b, _upoly_divmod(a, b)[1]
     if a:
         lead = a[-1]
         a = [v / lead for v in a]
@@ -593,7 +600,7 @@ def _upoly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 def _sturm_chain(c: Sequence[Fraction]) -> list[list[Fraction]]:
     chain = [_upoly_trim(list(c)), _upoly_trim(_upoly_derivative(c))]
     while chain[-1]:
-        nxt = [-v for v in _upoly_rem(chain[-2], chain[-1])]
+        nxt = [-v for v in _upoly_divmod(chain[-2], chain[-1])[1]]
         chain.append(_upoly_trim(nxt))
     chain.pop()
     return chain
@@ -636,7 +643,7 @@ def _positive_real_roots(coeffs: Sequence[Fraction], width: Fraction = ROOT_WIDT
     square_free = c
     gcd = _upoly_gcd(c, _upoly_derivative(c))
     if len(gcd) > 1:
-        square_free = _upoly_quotient(c, gcd)
+        square_free = _upoly_divmod(c, gcd)[0]
 
     bound = Fraction(1) + max(abs(v) for v in square_free[:-1]) / abs(square_free[-1])
     hi = bound + 1
@@ -690,21 +697,6 @@ def _positive_real_roots(coeffs: Sequence[Fraction], width: Fraction = ROOT_WIDT
         roots.append(exact if exact is not None else (lo + hi_) / 2)
     roots.sort()
     return roots
-
-
-def _upoly_quotient(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    r = _upoly_trim(list(a))
-    db, lead = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(r) - db, 0)
-    while r and len(r) - 1 >= db:
-        shift = len(r) - 1 - db
-        factor = r[-1] / lead
-        q[shift] = factor
-        for i in range(db + 1):
-            r[shift + i] -= factor * b[i]
-        r.pop()
-        _upoly_trim(r)
-    return _upoly_trim(q)
 
 
 def solve_algebraic(system: PolySystem, order: MonomialOrder | None = None) -> list[tuple[Fraction, ...]]:

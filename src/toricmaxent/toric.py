@@ -3,6 +3,8 @@
 The parametrization map sends positive parameters through the monomials of
 an integer matrix; the toric ideal is recovered over the integers via a
 lattice kernel basis and saturation by the product of the coordinates.
+Membership of a positive point needs no ideal: on the open orthant the model
+is log-linear, and the test is a least-squares fit of its logarithms.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "LatticeBasis",
     "BinomialGenerators",
     "MembershipReport",
-    "check_ones_in_rowspan",
     "toric_param",
     "apply_monomial_lift",
     "integer_kernel_basis",
@@ -137,35 +138,6 @@ class MembershipReport:
     member: bool
     max_residual: float
     residuals: tuple[float, ...]
-
-
-def _rational_echelon_consistent(matrix: list[list[Fraction]]) -> bool:
-    """Row-reduce an augmented rational system; True when it is consistent."""
-    rows = [row[:] for row in matrix]
-    ncols = len(rows[0]) - 1
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return all(any(row[:ncols]) or not row[ncols] for row in rows)
-
-
-def check_ones_in_rowspan(matrix: ConstraintMatrix) -> bool:
-    """Is the all-ones row a rational combination of the matrix rows?"""
-    augmented = [
-        [Fraction(matrix.rows[i][j]) for i in range(matrix.d)] + [Fraction(1)]
-        for j in range(matrix.m)
-    ]
-    return _rational_echelon_consistent(augmented)
 
 
 def toric_param(matrix: ConstraintMatrix, theta: Sequence, h: Sequence | None = None) -> DistributionVector:
@@ -306,12 +278,28 @@ def toric_ideal_generators(matrix: ConstraintMatrix) -> BinomialGenerators:
     return BinomialGenerators(tuple(kept))
 
 
-def verify_model_membership(p: Sequence, matrix: ConstraintMatrix, tol: float = 1e-9) -> MembershipReport:
-    """Evaluate every toric-ideal generator at ``p`` and compare against ``tol``."""
-    point = [float(x) for x in p]
-    if len(point) != matrix.m:
-        raise ValueError("distribution length does not match alphabet size")
-    generators = toric_ideal_generators(matrix)
-    residuals = tuple(abs(float(g.evaluate(point))) for g in generators)
-    max_residual = max(residuals, default=0.0)
-    return MembershipReport(max_residual <= tol, max_residual, residuals)
+def verify_model_membership(
+    p: Sequence, matrix: ConstraintMatrix, tol: float = 1e-9, prior: Sequence | None = None
+) -> MembershipReport:
+    """Log-linear membership test on the prior-weighted model of ``matrix``.
+
+    A point is on the model exactly when every ``p_j > 0`` and
+    ``log(p_j / h_j)`` lies in the row space of the matrix with an all-ones
+    row adjoined.  The residuals are the absolute per-symbol errors of the
+    least-squares fit of ``log(p / h)`` in that row space, so rescaling ``p``
+    or ``h`` leaves them unchanged.  A zero entry has no logarithm: it is
+    left out of the fit, reads residual 0, and puts the point off the model.
+    """
+    point = np.array([float(x) for x in p])
+    h = np.ones(matrix.m) if prior is None else np.array([float(w) for w in prior])
+    if point.shape != (matrix.m,) or h.shape != (matrix.m,):
+        raise ValueError("distribution or prior length does not match alphabet size")
+    if np.any(h <= 0):
+        raise ValueError("prior weights must be strictly positive")
+    positive = point > 0
+    lifted = np.vstack([np.ones(matrix.m), matrix.to_array()]).T * positive[:, None]
+    log_ratio = np.log(np.where(positive, point, h) / h)
+    coef = np.linalg.lstsq(lifted, log_ratio, rcond=None)[0]
+    residuals = tuple(float(r) for r in np.abs(lifted @ coef - log_ratio))
+    max_residual = max(residuals)
+    return MembershipReport(bool(positive.all()) and max_residual <= tol, max_residual, residuals)

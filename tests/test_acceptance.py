@@ -13,9 +13,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toricmaxent.errors import InfeasibleMomentsError
 from toricmaxent.maxent import (
+    DEFAULT_TOL,
     MaxEntProblem,
     direct_system,
     dual_objective,
@@ -38,7 +41,13 @@ from toricmaxent.ratpoly import (
     s_polynomial,
 )
 from toricmaxent.ratpoly import Polynomial
-from toricmaxent.toric import ConstraintMatrix, toric_ideal_generators, toric_param
+from toricmaxent.toric import (
+    ConstraintMatrix,
+    integer_kernel_basis,
+    toric_ideal_generators,
+    toric_param,
+    verify_model_membership,
+)
 from toricmaxent.cli import main as cli_main
 
 DICE = ConstraintMatrix([[1, 2, 3, 4, 5, 6]])
@@ -302,3 +311,40 @@ def test_10_cli_round_trip_and_determinism(tmp_path):
         second = run_cli(argv, stdin=stdin)
         assert first == second
         assert first[0] == 0
+
+
+@st.composite
+def prior_weighted_problems(draw):
+    d = draw(st.integers(1, 2))
+    m = draw(st.integers(3, 7))
+    rows = draw(st.lists(st.lists(st.integers(0, 4), min_size=m, max_size=m), min_size=d, max_size=d))
+    prior = draw(st.lists(st.integers(1, 5), min_size=m, max_size=m))
+    xi = draw(st.lists(st.floats(-0.5, 0.5), min_size=d, max_size=d))
+    return ConstraintMatrix(rows), prior, xi
+
+
+@settings(max_examples=25, deadline=None)
+@given(prior_weighted_problems())
+def test_11_fit_then_check_holds_on_random_prior_weighted_models(case):
+    matrix, prior, xi = case
+    lifted = ConstraintMatrix(((1,) * matrix.m,) + matrix.rows)
+    # dependent or constant rows make the fit rank deficient
+    assume(np.linalg.matrix_rank(lifted.to_array()) == matrix.d + 1)
+    p_model, _ = model_distribution(matrix, xi, prior)
+    targets = moments(matrix, list(p_model))
+    fit = fit_numeric(MaxEntProblem.from_targets(matrix, targets, prior=prior))
+    p = np.array(fit.p.as_floats())
+
+    report = verify_model_membership(p, matrix, tol=DEFAULT_TOL, prior=prior)
+    assert report.member, report
+    assert max(abs(a - b) for a, b in zip(moments(matrix, list(p)), targets)) <= DEFAULT_TOL
+    # only the ratios of the prior matter
+    assert verify_model_membership(p, matrix, tol=DEFAULT_TOL, prior=[3 * w for w in prior]).member
+
+    # a symbol in the support of the kernel of [1; A] is not free on the model,
+    # so a relative 1e-3 move of its probability leaves the model
+    j = next((k for u in integer_kernel_basis(lifted) for k, v in enumerate(u) if v), None)
+    assume(j is not None)
+    moved = p.copy()
+    moved[j] *= 1 + 1e-3
+    assert not verify_model_membership(moved / moved.sum(), matrix, tol=DEFAULT_TOL, prior=prior).member

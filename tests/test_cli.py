@@ -293,6 +293,92 @@ def test_check_accepts_bare_array_distribution(write_json):
     assert code == 0, err
 
 
+IND_HALF = {
+    "m": 4,
+    "constraints": [
+        {"name": "r1", "values": [1, 1, 0, 0], "target": "1/2"},
+        {"name": "r2", "values": [0, 0, 1, 1], "target": "1/2"},
+        {"name": "c1", "values": [1, 0, 1, 0], "target": "1/2"},
+        {"name": "c2", "values": [0, 1, 0, 1], "target": "1/2"},
+    ],
+}
+CHECK_KEYS = [
+    "member", "max_ideal_residual", "ideal_residuals", "moment_residuals", "max_moment_residual", "tol", "passed",
+]
+
+
+def fit_then_check(write_json, problem):
+    path = write_json(problem)
+    code, out, err = run(["fit", path, "--format", "json"])
+    assert code == 0, err
+    dist = write_json({"p": json.loads(out)["p"]})
+    return run(["check", path, "--dist", dist, "--format", "json"])
+
+
+def test_check_runs_without_the_ideal_machinery(write_json, monkeypatch):
+    import toricmaxent.cli
+    import toricmaxent.toric
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check must not compute a toric ideal")
+
+    for module, name in ((toricmaxent.toric, "toric_ideal_generators"), (toricmaxent.toric, "buchberger"),
+                         (toricmaxent.cli, "toric_ideal_generators")):
+        monkeypatch.setattr(module, name, forbidden)
+    code, out, err = fit_then_check(write_json, DICE)
+    assert code == 0, err
+    code, out, err = run(["check", write_json(IND_HALF), "--dist", write_json([0.25] * 4)])
+    assert code == 0, err
+
+
+def test_check_accepts_fit_with_prior(write_json):
+    problem = {"m": 4, "constraints": [{"name": "t", "values": [0, 1, 2, 3], "target": "3/2"}], "prior": [1, 2, 3, 4]}
+    code, out, err = fit_then_check(write_json, problem)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert list(payload) == CHECK_KEYS
+    assert payload["member"] is True
+
+
+def test_check_has_no_alphabet_cap(write_json):
+    wide = {"m": 11, "constraints": [{"name": "t", "values": list(range(1, 12)), "target": "5"}]}
+    code, out, err = fit_then_check(write_json, wide)
+    assert code == 0, err
+    assert json.loads(out)["member"] is True
+    assert run(["ideal", write_json(wide)])[0] == 3
+
+
+def test_check_point_with_a_zero_is_off_the_model(write_json):
+    ind = {
+        "m": 4,
+        "constraints": [
+            {"name": "r1", "values": [1, 1, 0, 0], "target": "1"},
+            {"name": "r2", "values": [0, 0, 1, 1], "target": "0"},
+            {"name": "c1", "values": [1, 0, 1, 0], "target": "1/2"},
+            {"name": "c2", "values": [0, 1, 0, 1], "target": "1/2"},
+        ],
+    }
+    code, out, err = run(["check", write_json(ind), "--dist", write_json([0.5, 0.5, 0, 0]), "--format", "json"])
+    assert code == 1
+    assert "check failed" in err
+
+    def reject_constant(token):
+        raise AssertionError(f"non-finite token {token} in output")
+
+    payload = json.loads(out, parse_constant=reject_constant)
+    assert list(payload) == CHECK_KEYS
+    assert payload["member"] is False
+    assert payload["max_moment_residual"] == 0.0
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "inf"), ("--max-iter", "0"), ("--max-iter", "-1")])
+def test_fit_rejects_invalid_numeric_flags(write_json, flag, value):
+    code, out, err = run(["fit", write_json(DICE), flag, value])
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
 def test_entropy_command(write_json):
     import math
 
@@ -382,13 +468,21 @@ def test_emitted_polynomials_reparse_equal(write_json):
 
 
 def test_module_entry_point(write_json):
+    import os
     import subprocess
+    from pathlib import Path
+
+    import toricmaxent
 
     path = write_json(QUAD)
+    # the child imports the same package as this process, installed or not
+    src = str(Path(toricmaxent.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "toricmaxent", "system", path],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "t1^2 - 1\n"

@@ -395,6 +395,14 @@ def test_boundary_target_newton_approaches_the_vertex():
     assert moments(DICE, list(fit.p))[0] == pytest.approx(6.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("values, target", [([0, 1, 2, 3], "1"), ([0, 1, 2, 3, 4], "1.34")])
+def test_newton_converges_when_the_line_search_test_is_below_float_resolution(values, target):
+    matrix = ConstraintMatrix([values])
+    fit = fit_numeric(MaxEntProblem.from_targets(matrix, [Fraction(target)]), solver="newton")
+    assert fit.residual <= 1e-10
+    assert fit.iterations < 10
+
+
 def test_exhausted_iteration_budget_raises():
     for solver, budget in (("gis", 2), ("newton", 1)):
         with pytest.raises(InfeasibleMomentsError):
