@@ -254,7 +254,7 @@ def _fit_payload(result) -> dict:
         payload["xi_empirical"] = [float(v) for v in result.xi_empirical]
     payload.update(
         {
-            "p": list(result.p.as_floats()),
+            "p": list(result.p),
             "logZ": float(result.log_z),
             "residual": float(result.residual),
         }

@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .ratpoly import LEX, MonomialOrder, Polynomial, buchberger, laurent_clear
-from .toric import ConstraintMatrix, DistributionVector
+from .toric import ConstraintMatrix, DistributionVector, _prior_floats
 
 __all__ = [
     "DEFAULT_TOL",
@@ -202,15 +202,12 @@ def kl_divergence(p: Sequence, h: Sequence) -> float:
     return total
 
 
-def _prior_floats(matrix: ConstraintMatrix, prior: Sequence | None) -> np.ndarray:
-    if prior is None:
-        return np.ones(matrix.m)
-    h = np.array([float(w) for w in prior])
-    if h.shape != (matrix.m,):
-        raise ValueError("prior length does not match alphabet size")
-    if np.any(h <= 0):
-        raise ValueError("prior weights must be strictly positive")
-    return h
+def _normalize(logw: np.ndarray) -> tuple[np.ndarray, float]:
+    """Max-subtracted softmax of log-weights: ``(exp(logw) / Z, ln Z)``."""
+    peak = logw.max()
+    w = np.exp(logw - peak)
+    total = w.sum()
+    return w / total, float(peak + math.log(total))
 
 
 def model_distribution(
@@ -226,13 +223,7 @@ def model_distribution(
     xi = np.asarray([float(v) for v in xi])
     if xi.shape != (matrix.d,):
         raise ValueError("xi length does not match constraint count")
-    h = _prior_floats(matrix, prior)
-    logw = np.log(h) - xi @ arr
-    peak = logw.max()
-    w = np.exp(logw - peak)
-    total = w.sum()
-    log_z = float(peak + math.log(total))
-    p = w / total
+    p, log_z = _normalize(np.log(_prior_floats(matrix, prior)) - xi @ arr)
     return DistributionVector(tuple(p.tolist())), log_z
 
 
@@ -398,10 +389,7 @@ def _fit_gis(arr, h, targets, tol, max_iter):
     eta = np.zeros(d)
     eta_slack = 0.0
     for iteration in range(1, max_iter + 1):
-        logw = log_h + eta @ shifted + eta_slack * slack
-        logw -= logw.max()
-        w = np.exp(logw)
-        p = w / w.sum()
+        p, _ = _normalize(log_h + eta @ shifted + eta_slack * slack)
         if np.max(np.abs(arr @ p - targets)) <= tol:
             return eta_slack - eta, iteration - 1
         current = shifted @ p
@@ -421,16 +409,8 @@ def _fit_gis(arr, h, targets, tol, max_iter):
 def _fit_newton(arr, h, targets, tol, max_iter):
     d, m = arr.shape
     log_h = np.log(h)
-
-    def distribution(xi):
-        logw = log_h - xi @ arr
-        peak = logw.max()
-        w = np.exp(logw - peak)
-        total = w.sum()
-        return w / total, float(peak + math.log(total))
-
     xi = np.zeros(d)
-    p, log_z = distribution(xi)
+    p, log_z = _normalize(log_h)
     for iteration in range(max_iter):
         mom = arr @ p
         gap = mom - targets
@@ -459,7 +439,7 @@ def _fit_newton(arr, h, targets, tol, max_iter):
         alpha = 1.0
         while True:
             trial = xi + alpha * step
-            trial_p, trial_log_z = distribution(trial)
+            trial_p, trial_log_z = _normalize(log_h - trial @ arr)
             if not resolvable or trial_log_z + float(trial @ targets) <= value - 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
@@ -495,14 +475,19 @@ def fit_numeric(
 
     Raises
     ------
+    ValueError
+        When ``tol`` is not positive and finite, ``max_iter`` is below 1,
+        or the solver is unknown.
     InfeasibleMomentsError
         When the iteration diverges or the cap is reached, which diagnoses
         targets on or outside the moment polytope.
     RankDeficiencyError
         When the covariance is singular from the start (dependent rows).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     arr = problem.matrix.to_array()
     h = _prior_floats(problem.matrix, problem.prior)
     targets = np.array([float(t) for t in problem.target_values()])
@@ -512,13 +497,12 @@ def fit_numeric(
         xi, iterations = _fit_newton(arr, h, targets, tol, max_iter or NEWTON_MAX_ITER)
     else:
         raise ValueError(f"unknown solver {solver!r}")
-    return _package_fit(problem, np.asarray(xi), iterations, solver)
+    return _package_fit(problem, arr, h, targets, np.asarray(xi), iterations, solver)
 
 
-def _package_fit(problem, xi, iterations, solver) -> FitResult:
-    p, log_z = model_distribution(problem.matrix, xi, problem.prior)
-    targets = np.array([float(t) for t in problem.target_values()])
-    residual = float(np.max(np.abs(problem.matrix.to_array() @ np.asarray(p.as_floats()) - targets)))
+def _package_fit(problem, arr, h, targets, xi, iterations, solver) -> FitResult:
+    p, log_z = model_distribution(problem.matrix, xi, h)
+    residual = float(np.max(np.abs(arr @ np.asarray(p.probs) - targets)))
     xi_empirical = None
     if problem.samples is not None:
         xi_empirical = tuple(float(v) / problem.samples.count for v in xi)
@@ -547,7 +531,9 @@ def fit_algebraic(problem: MaxEntProblem) -> FitResult:
         raise InfeasibleMomentsError("direct system has no positive solution")
     theta = solutions[0]
     xi = np.array([-math.log(float(t)) for t in theta])
-    return _package_fit(problem, xi, 0, "groebner")
+    arr = problem.matrix.to_array()
+    h = _prior_floats(problem.matrix, problem.prior)
+    return _package_fit(problem, arr, h, np.array([float(t) for t in targets]), xi, 0, "groebner")
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,18 @@ class ConstraintMatrix:
         return np.array(self.rows, dtype=float)
 
 
+def _prior_floats(matrix: ConstraintMatrix, prior: Sequence | None) -> np.ndarray:
+    """Float weights ``h`` of a prior on the alphabet; unit weights when omitted."""
+    if prior is None:
+        return np.ones(matrix.m)
+    h = np.asarray(prior, dtype=float)
+    if h.shape != (matrix.m,):
+        raise ValueError("prior length does not match alphabet size")
+    if not np.all(h > 0):
+        raise ValueError("prior weights must be strictly positive")
+    return h
+
+
 @dataclass(frozen=True)
 class DistributionVector:
     """Point of the probability simplex; float or exact rational entries."""
@@ -291,11 +303,9 @@ def verify_model_membership(
     left out of the fit, reads residual 0, and puts the point off the model.
     """
     point = np.array([float(x) for x in p])
-    h = np.ones(matrix.m) if prior is None else np.array([float(w) for w in prior])
-    if point.shape != (matrix.m,) or h.shape != (matrix.m,):
-        raise ValueError("distribution or prior length does not match alphabet size")
-    if np.any(h <= 0):
-        raise ValueError("prior weights must be strictly positive")
+    if point.shape != (matrix.m,):
+        raise ValueError("distribution length does not match alphabet size")
+    h = _prior_floats(matrix, prior)
     positive = point > 0
     lifted = np.vstack([np.ones(matrix.m), matrix.to_array()]).T * positive[:, None]
     log_ratio = np.log(np.where(positive, point, h) / h)

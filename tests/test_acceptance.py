@@ -23,6 +23,7 @@ from toricmaxent.maxent import (
     direct_system,
     dual_objective,
     dual_system,
+    fit_algebraic,
     fit_numeric,
     kl_divergence,
     model_distribution,
@@ -348,3 +349,27 @@ def test_11_fit_then_check_holds_on_random_prior_weighted_models(case):
     moved = p.copy()
     moved[j] *= 1 + 1e-3
     assert not verify_model_membership(moved / moved.sum(), matrix, tol=DEFAULT_TOL, prior=prior).member
+
+
+@st.composite
+def exact_one_row_problems(draw):
+    m = draw(st.integers(2, 8))
+    row = draw(st.lists(st.integers(-2, 6), min_size=m, max_size=m).filter(lambda r: len(set(r)) > 1))
+    prior = draw(st.none() | st.lists(st.integers(1, 5), min_size=m, max_size=m))
+    theta = draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=6))
+    return ConstraintMatrix([row]), prior, theta
+
+
+@settings(max_examples=25, deadline=None)
+@given(exact_one_row_problems())
+def test_12_groebner_and_newton_agree_where_the_exact_path_applies(case):
+    matrix, prior, theta = case
+    # the exact target of a rational model point; entries in -2..6 keep the
+    # cleared direct system within the exact solver's degree limit of 8
+    p = toric_param(matrix, [theta], prior)
+    target = sum(a * q for a, q in zip(matrix.rows[0], p))
+    problem = MaxEntProblem.from_targets(matrix, [target], prior=prior)
+    exact = fit_algebraic(problem)
+    numeric = fit_numeric(problem, solver="newton")
+    # tolerance 1e-9: 10x the default moment tolerance
+    assert max(abs(a - b) for a, b in zip(exact.p, numeric.p)) <= 1e-9

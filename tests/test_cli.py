@@ -457,6 +457,53 @@ def test_reruns_are_byte_identical(write_json):
     assert len(outputs) == 1
 
 
+# `fit --format json` stdout pinned digit for digit, so that a change to the
+# numeric core cannot move a result unnoticed.
+LOADED_DICE = {"m": 6, "constraints": [{"name": "mean", "values": [1, 2, 3, 4, 5, 6], "target": "4"}]}
+GOLDEN_FITS = {
+    "newton": ("newton", LOADED_DICE, '{"solver": "newton", "iterations": 3, "xi": [-0.17462893121233786], "p": [0.10306524522459909, 0.12273053351719292, 0.14614804267520148, 0.17403371244043661, 0.20724008691044771, 0.2467823792321221], "logZ": 2.4470219737263186, "residual": 8.6926021936051256e-12}\n'),
+    # one feature: the shifted values do not sum to a constant, so GIS pads them with a slack feature
+    "gis-slack": ("gis", LOADED_DICE, '{"solver": "gis", "iterations": 37, "xi": [-0.17462893119379769], "p": [0.10306524523033163, 0.12273053352174382, 0.14614804267791115, 0.17403371244043661, 0.20724008690660545, 0.24678237922297139], "logZ": 2.4470219736521579, "residual": 5.9845461919394438e-11}\n'),
+    # every column of the 2x2 independence rows sums to 2: GIS needs no slack feature
+    "gis-no-slack": (
+        "gis",
+        {
+            "m": 4,
+            "constraints": [
+                {"name": "r1", "values": [1, 1, 0, 0], "target": "3/5"},
+                {"name": "r2", "values": [0, 0, 1, 1], "target": "2/5"},
+                {"name": "c1", "values": [1, 0, 1, 0], "target": "1/4"},
+                {"name": "c2", "values": [0, 1, 0, 1], "target": "3/4"},
+            ],
+        },
+        '{"solver": "gis", "iterations": 31, "xi": [-0.1755758418415394, 0.22988926607781557, 0.73828844794318094, -0.36032384021334768], "p": [0.15000000004622432, 0.44999999990846146, 0.10000000004969714, 0.29999999999561716], "logZ": 1.3344073784760777, "residual": 9.5921492970774125e-11}\n',
+    ),
+    "groebner": ("groebner", {"m": 3, "constraints": [{"name": "t", "values": [0, 1, 2], "target": "1/2"}]}, '{"solver": "groebner", "iterations": 0, "xi": [0.834115194352399], "p": [0.61620406037800024, 0.26759187924399852, 0.11620406037800127], "logZ": 0.48417710345796189, "residual": 1.1102230246251565e-15}\n'),
+    "prior": (
+        "newton",
+        {"m": 4, "constraints": [{"name": "t", "values": [0, 1, 2, 3], "target": "3/2"}], "prior": [1, 2, 3, 4]},
+        '{"solver": "newton", "iterations": 3, "xi": [0.45531396487918707], "p": [0.22242619994043075, 0.28214710295258166, 0.26842719425315481, 0.2269995028538328], "logZ": 1.5031599180566828, "residual": 2.038968993645085e-11}\n',
+    ),
+    "samples": (
+        "newton",
+        {
+            "m": 4,
+            "constraints": [{"name": "t", "values": [0, 1, 2, 3]}, {"name": "ends", "values": [1, 0, 0, 1]}],
+            "samples": [1, 2, 2, 3, 4, 4, 4],
+        },
+        '{"solver": "newton", "iterations": 4, "xi": [-0.26921620864306067, -0.21730173550912901], "xi_empirical": [-0.038459458377580094, -0.031043105072732717], "p": [0.17622387741246709, 0.1856140820483175, 0.24295734652311038, 0.39520469401610508], "logZ": 1.953301797046157, "residual": 3.7747582837255322e-15}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_FITS))
+def test_fit_json_output_is_pinned(write_json, case):
+    solver, doc, expected = GOLDEN_FITS[case]
+    code, out, err = run(["fit", write_json(doc), "--solver", solver, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 def test_emitted_polynomials_reparse_equal(write_json):
     half = write_json({"m": 3, "constraints": [{"name": "t", "values": [0, 1, 2], "target": "1/2"}]})
     _, out, _ = run(["system", half, "--format", "json"])

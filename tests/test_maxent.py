@@ -409,6 +409,27 @@ def test_exhausted_iteration_budget_raises():
             fit_numeric(dice_problem(Fraction(9, 2)), solver=solver, max_iter=budget)
 
 
+@pytest.mark.parametrize("solver", ["newton", "gis"])
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_iter": 0}, {"max_iter": -1}, {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}],
+    ids=["max_iter=0", "max_iter=-1", "tol=nan", "tol=inf", "tol=0"],
+)
+def test_fit_numeric_rejects_invalid_budget(solver, kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
+        fit_numeric(dice_problem(Fraction(4)), solver=solver, **kwargs)
+
+
+@pytest.mark.parametrize("solver, cap", [("newton", "NEWTON_MAX_ITER"), ("gis", "GIS_MAX_ITER")])
+def test_max_iter_none_takes_the_solver_default_cap(monkeypatch, solver, cap):
+    from toricmaxent import maxent
+
+    monkeypatch.setattr(maxent, cap, 1)
+    with pytest.raises(InfeasibleMomentsError, match="did not converge in 1 iterations"):
+        fit_numeric(dice_problem(Fraction(4)), solver=solver, max_iter=None)
+
+
 def test_dependent_constraints_raise_rank_error():
     matrix = ConstraintMatrix([[1, 2], [1, 2]])
     problem = MaxEntProblem.from_targets(matrix, [Fraction(5, 4), Fraction(5, 4)])
