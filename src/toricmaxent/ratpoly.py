@@ -15,6 +15,7 @@ Example::
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -289,18 +290,20 @@ def _mono_times(p: Polynomial, coeff: Fraction, exps: Exponents) -> Iterable[tup
         yield tuple(x + y for x, y in zip(e, exps)), c * coeff
 
 
-def _divide_impl(f, divisors, order, want_quotients):
-    lead = [g.leading_term(order) for g in divisors]
+def _divide_impl(f, divisors, order, want_quotients, lead=None):
+    # ``lead`` holds the divisors' leading exponents when the caller keeps them
+    if lead is None:
+        lead = [g.leading_term(order)[0] for g in divisors]
     quotients = [dict() for _ in divisors] if want_quotients else None
     remainder: dict[Exponents, Fraction] = {}
     work = dict(f.terms)
     while work:
         exps = max(work, key=order.key)
         coeff = work[exps]
-        for i, (g_exps, g_coeff) in enumerate(lead):
+        for i, g_exps in enumerate(lead):
             if _divides(g_exps, exps):
                 q_exps = tuple(a - b for a, b in zip(exps, g_exps))
-                q_coeff = coeff / g_coeff
+                q_coeff = coeff / divisors[i].terms[g_exps]
                 if want_quotients:
                     quotients[i][q_exps] = quotients[i].get(q_exps, 0) + q_coeff
                 for t_exps, t_coeff in _mono_times(divisors[i], q_coeff, q_exps):
@@ -390,9 +393,20 @@ class GroebnerBasis:
 def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     """Buchberger's algorithm with the normal selection strategy.
 
-    Pairs are taken by smallest leading-term lcm; the coprime-lcm and chain
-    criteria prune pairs before any reduction.  The returned basis is fully
-    inter-reduced.
+    Pending pairs wait in a heap, keyed once when they are made by the order
+    key of their leading-term lcm, and the smallest lcm is reduced first.
+    Each new element ``h`` goes through the Gebauer-Moeller update (Gebauer
+    and Moeller, JSC 1988):
+
+    - criterion M drops a new pair whose lcm another new pair's lcm
+      divides, and criterion F keeps one new pair per lcm;
+    - a new pair whose leading terms are coprime is dropped, after it has
+      pruned the pairs its lcm divides;
+    - criterion B drops a pending pair ``(f, g)`` whose lcm ``LT(h)``
+      divides, unless that lcm equals the lcm of ``f`` or ``g`` with ``h``.
+
+    An element whose leading term ``LT(h)`` divides forms no further pairs
+    but stays a reducer.  The returned basis is fully inter-reduced.
     """
     gens = [g for g in generators if g.terms]
     if any(g.laurent and any(e < 0 for exps in g.terms for e in exps) for g in gens):
@@ -406,42 +420,50 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> Groebn
 
     basis: list[Polynomial] = []
     lead: list[Exponents] = []
+    active: list[int] = []  # elements that new pairs are formed with
+    pending: dict[tuple[int, int], Exponents] = {}  # live pairs and their lcms
+    heap: list = []
+
+    def lcm_of(a: Exponents, b: Exponents) -> Exponents:
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    def coprime(a: Exponents, b: Exponents) -> bool:
+        return not any(x and y for x, y in zip(a, b))
+
+    def add(h: Polynomial) -> None:
+        t = len(basis)
+        ht = h.leading_term(order)[0]
+        basis.append(h)
+        lead.append(ht)
+        # criterion B on the pending pairs
+        for (i, j), lcm in list(pending.items()):
+            if _divides(ht, lcm) and lcm != lcm_of(lead[i], ht) and lcm != lcm_of(lead[j], ht):
+                del pending[(i, j)]
+        # criteria M and F on the new pairs; a coprime pair prunes, then goes
+        new = [(lcm_of(lead[k], ht), k) for k in active]
+        kept = []
+        for n, (lcm, k) in enumerate(new):
+            if coprime(lead[k], ht) or not any(_divides(other, lcm) for other, _ in new[n + 1 :] + kept):
+                kept.append((lcm, k))
+        for lcm, k in kept:
+            if not coprime(lead[k], ht):
+                pending[(k, t)] = lcm
+                heapq.heappush(heap, (order.key(lcm), k, t))
+        active[:] = [k for k in active if not _divides(ht, lead[k])] + [t]
+
     for g in gens:
         m = g.monic(order)
         if m not in basis:
-            basis.append(m)
-            lead.append(m.leading_term(order)[0])
+            add(m)
 
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
-
-    def lcm_of(i: int, j: int) -> Exponents:
-        return tuple(max(a, b) for a, b in zip(lead[i], lead[j]))
-
-    while pairs:
-        i, j = min(pairs, key=lambda ij: order.key(lcm_of(*ij)))
-        pairs.remove((i, j))
-        lcm = lcm_of(i, j)
-        if lcm == tuple(a + b for a, b in zip(lead[i], lead[j])):
-            continue  # coprime leading terms: S-polynomial reduces to zero
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(lead[k], lcm):
-                continue
-            ik = (min(i, k), max(i, k))
-            jk = (min(j, k), max(j, k))
-            if ik not in pairs and jk not in pairs:
-                chain = True
-                break
-        if chain:
-            continue
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if pending.pop((i, j), None) is None:
+            continue  # pruned after it was pushed
         s = s_polynomial(basis[i], basis[j], order)
-        r = _divide_impl(s, basis, order, False) if s.terms else s
+        r = _divide_impl(s, basis, order, False, lead) if s.terms else s
         if r.terms:
-            r = r.monic(order)
-            basis.append(r)
-            lead.append(r.leading_term(order)[0])
-            t = len(basis) - 1
-            pairs.update((k, t) for k in range(t))
+            add(r.monic(order))
 
     # minimalize: strike elements whose leading term another's divides
     keep = []
@@ -457,14 +479,15 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> Groebn
             keep.append(i)
 
     # tail-reduce every survivor against the others
-    reduced = []
+    keep.sort(key=lambda i: order.key(lead[i]))
     kept = [basis[i] for i in keep]
+    kept_lead = [lead[i] for i in keep]
+    reduced = []
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
-        r = _divide_impl(g, others, order, False) if others else g
-        reduced.append(r.monic(order))
-
-    reduced.sort(key=lambda p: order.key(p.leading_term(order)[0]))
+        if others:
+            g = _divide_impl(g, others, order, False, kept_lead[:idx] + kept_lead[idx + 1 :])
+        reduced.append(g.monic(order))
     return GroebnerBasis(tuple(reduced), order)
 
 

@@ -303,6 +303,53 @@ def test_buchberger_random_suite_properties():
                 assert gb.reduces_to_zero(s)
 
 
+def _naive_reduced_groebner(gens, order):
+    # Reference: reduce every S-pair, prune nothing, then inter-reduce.
+    basis = [g.monic(order) for g in gens if g.terms]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        if r.terms:
+            basis.append(r.monic(order))
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    minimal = []
+    for g in sorted(basis, key=lambda g: order.key(g.leading_term(order)[0])):
+        lt = g.leading_term(order)[0]
+        if not any(_divisible(lt, h.leading_term(order)[0]) for h in minimal):
+            minimal.append(g)
+    return {
+        normal_form(g, minimal[:k] + minimal[k + 1 :], order).monic(order) if len(minimal) > 1 else g
+        for k, g in enumerate(minimal)
+    }
+
+
+def _with_leading_term(rng, vars, lt, order):
+    tail = random_poly(rng, vars, max_exp=2, max_terms=3).terms
+    return Polynomial(vars, {lt: rng.randint(1, 3), **{e: c for e, c in tail.items() if order.key(e) < order.key(lt)}})
+
+
+def test_buchberger_matches_naive_reference():
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 60:
+        vars = XYZ[: rng.randint(1, 3)]
+        n = len(vars)
+        order = rng.choice(
+            [LEX, GREVLEX, MonomialOrder("lex", tuple(reversed(range(n)))), MonomialOrder("grevlex", tuple(reversed(range(n))))]
+        )
+        if checked % 2:
+            gens = [g for g in (random_poly(rng, vars, max_exp=2, max_terms=3) for _ in range(rng.randint(1, 3))) if g.terms]
+        else:
+            # chosen leading terms, one of them twice: pairs with equal lcms
+            leads = [tuple(rng.randint(0, 1) for _ in vars) for _ in range(rng.randint(1, 3))]
+            gens = [_with_leading_term(rng, vars, lt, order) for lt in leads + leads[:1]]
+        if not gens:
+            continue
+        assert set(buchberger(gens, order).basis) == _naive_reduced_groebner(gens, order)
+        checked += 1
+
+
 # --- Laurent clearing ---
 
 

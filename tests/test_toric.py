@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from toricmaxent.errors import SizeLimitError
-from toricmaxent.ratpoly import GREVLEX, LEX, buchberger, normal_form, parse_poly, poly_to_text
+from toricmaxent.ratpoly import GREVLEX, LEX, Polynomial, buchberger, normal_form, parse_poly, poly_to_text
 from toricmaxent.toric import (
     ConstraintMatrix,
     DistributionVector,
@@ -170,6 +170,43 @@ def test_generators_vanish_on_the_model_exactly():
             assert p.exact
             for g in gens:
                 assert g.evaluate(list(p)) == 0
+
+
+@pytest.mark.parametrize(
+    "rows, count",
+    [
+        # each of these two ran for minutes when pairs were re-keyed on every selection
+        ([[1, 0, 3, 4], [3, 2, 3, 3]], None),
+        ([[0, 3, 4, 2], [-2, 2, 0, 1]], None),
+        # rational normal curve m=7: the C(6, 2) = 15 quadrics
+        ([[1] * 7, list(range(1, 8))], 15),
+    ],
+)
+def test_ideal_generators_of_larger_models(rows, count):
+    matrix = ConstraintMatrix(rows)
+    gens = toric_ideal_generators(matrix).binomials
+    if count is not None:
+        assert len(gens) == count
+    lattice = integer_kernel_basis(matrix).vectors
+    rng = random.Random(11)
+    # unnormalized points theta^a_j: without an all-ones row in the row space
+    # the binomials need not be homogeneous, so toric_param's 1/Z would not cancel
+    points = []
+    for _ in range(2):
+        theta = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(matrix.d)]
+        points.append([math.prod(t**a for t, a in zip(theta, matrix.column(j))) for j in range(matrix.m)])
+    for g in gens:
+        assert sorted(g.terms.values()) == [Fraction(-1), Fraction(1)]
+        plus, minus = g.terms
+        u = [a - b for a, b in zip(plus, minus)]
+        assert rational_rank([*lattice, u]) == len(lattice)
+        for point in points:
+            assert g.evaluate(point) == 0
+    # the lattice-basis binomials lie in the ideal the generators span
+    gb = buchberger(list(gens), GREVLEX)
+    for v in lattice:
+        binomial = Polynomial(gens[0].vars, {tuple(max(x, 0) for x in v): 1, tuple(max(-x, 0) for x in v): -1})
+        assert gb.reduces_to_zero(binomial)
 
 
 def test_ideal_alphabet_size_limit():
