@@ -19,6 +19,8 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import le
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -282,7 +284,7 @@ class Polynomial:
 
 
 def _divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_times(p: Polynomial, coeff: Fraction, exps: Exponents) -> Iterable[tuple[Exponents, Fraction]]:
@@ -390,23 +392,94 @@ class GroebnerBasis:
         return not self.normal_form(f).terms
 
 
-def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasis:
-    """Buchberger's algorithm with the normal selection strategy.
+def _lcm(a: Exponents, b: Exponents) -> Exponents:
+    return tuple(max(x, y) for x, y in zip(a, b))
 
-    Pending pairs wait in a heap, keyed once when they are made by the order
-    key of their leading-term lcm, and the smallest lcm is reduced first.
-    Each new element ``h`` goes through the Gebauer-Moeller update (Gebauer
-    and Moeller, JSC 1988):
+
+def _coprime(a: Exponents, b: Exponents) -> bool:
+    return not any(x and y for x, y in zip(a, b))
+
+
+class _PairQueue:
+    """Critical pairs of a Buchberger run under the Gebauer-Moeller update.
+
+    The update needs only the elements' leading exponents, kept in ``lead``
+    in the order :meth:`add` received them, and the order's key, so the
+    rational and the binomial engines share it; :meth:`minimal` picks a
+    minimal basis from the same exponents.  Pending pairs wait in a heap,
+    keyed once when they are made by the order key of their leading-term
+    lcm; iterating yields the live pair ``(i, j)`` with the smallest lcm
+    until none is left, and may be interleaved with ``add``.  Each new
+    leading exponent ``ht`` goes through the update (Gebauer and Moeller,
+    JSC 1988):
 
     - criterion M drops a new pair whose lcm another new pair's lcm
       divides, and criterion F keeps one new pair per lcm;
     - a new pair whose leading terms are coprime is dropped, after it has
       pruned the pairs its lcm divides;
-    - criterion B drops a pending pair ``(f, g)`` whose lcm ``LT(h)``
-      divides, unless that lcm equals the lcm of ``f`` or ``g`` with ``h``.
+    - criterion B drops a pending pair ``(f, g)`` whose lcm ``ht``
+      divides, unless that lcm equals the lcm of ``f`` or ``g`` with ``ht``.
 
-    An element whose leading term ``LT(h)`` divides forms no further pairs
-    but stays a reducer.  The returned basis is fully inter-reduced.
+    An element whose leading exponent ``ht`` divides forms no further pairs
+    but stays a reducer.
+    """
+
+    def __init__(self, order: MonomialOrder) -> None:
+        self._key = order.key
+        self.lead: list[Exponents] = []
+        self._active: list[int] = []  # elements that new pairs are formed with
+        self._pending: dict[tuple[int, int], Exponents] = {}  # live pairs and their lcms
+        self._heap: list = []
+
+    def add(self, ht: Exponents) -> None:
+        lead, pending = self.lead, self._pending
+        t = len(lead)
+        lead.append(ht)
+        # criterion B on the pending pairs
+        for (i, j), lcm in list(pending.items()):
+            if _divides(ht, lcm) and lcm != _lcm(lead[i], ht) and lcm != _lcm(lead[j], ht):
+                del pending[(i, j)]
+        # criteria M and F on the new pairs; a coprime pair prunes, then goes
+        active = self._active
+        lcms = [_lcm(lead[k], ht) for k in active]
+        kept: list[int] = []  # positions in ``active``
+        for n, lcm in enumerate(lcms):
+            # ``all(map(le, ...))`` is ``_divides`` inlined: this is the update's hot loop
+            if _coprime(lead[active[n]], ht) or not any(
+                all(map(le, other, lcm)) for other in chain(lcms[n + 1 :], (lcms[q] for q in kept))
+            ):
+                kept.append(n)
+        for n in kept:
+            k = active[n]
+            if not _coprime(lead[k], ht):
+                pending[(k, t)] = lcms[n]
+                heapq.heappush(self._heap, (self._key(lcms[n]), k, t))
+        self._active = [k for k in active if not _divides(ht, lead[k])] + [t]
+
+    def minimal(self) -> list[int]:
+        """Indices of a minimal basis: no other leading exponent divides theirs.
+
+        Of equal leading exponents the first one stays.
+        """
+        lead = self.lead
+        return [
+            i for i, a in enumerate(lead)
+            if not any(_divides(b, a) and (b != a or j < i) for j, b in enumerate(lead) if j != i)
+        ]
+
+    def __iter__(self):
+        while self._heap:
+            _, i, j = heapq.heappop(self._heap)
+            if self._pending.pop((i, j), None) is not None:  # else pruned after it was pushed
+                yield i, j
+
+
+def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasis:
+    """Buchberger's algorithm with the normal selection strategy.
+
+    Pairs are made, pruned and selected by the Gebauer-Moeller update of
+    :class:`_PairQueue`: the pending pair with the smallest leading-term lcm
+    is reduced first.  The returned basis is fully inter-reduced.
     """
     gens = [g for g in generators if g.terms]
     if any(g.laurent and any(e < 0 for exps in g.terms for e in exps) for g in gens):
@@ -419,66 +492,26 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> Groebn
             raise ValueError("generators over different variable lists")
 
     basis: list[Polynomial] = []
-    lead: list[Exponents] = []
-    active: list[int] = []  # elements that new pairs are formed with
-    pending: dict[tuple[int, int], Exponents] = {}  # live pairs and their lcms
-    heap: list = []
-
-    def lcm_of(a: Exponents, b: Exponents) -> Exponents:
-        return tuple(max(x, y) for x, y in zip(a, b))
-
-    def coprime(a: Exponents, b: Exponents) -> bool:
-        return not any(x and y for x, y in zip(a, b))
+    pairs = _PairQueue(order)
+    lead = pairs.lead
 
     def add(h: Polynomial) -> None:
-        t = len(basis)
-        ht = h.leading_term(order)[0]
         basis.append(h)
-        lead.append(ht)
-        # criterion B on the pending pairs
-        for (i, j), lcm in list(pending.items()):
-            if _divides(ht, lcm) and lcm != lcm_of(lead[i], ht) and lcm != lcm_of(lead[j], ht):
-                del pending[(i, j)]
-        # criteria M and F on the new pairs; a coprime pair prunes, then goes
-        new = [(lcm_of(lead[k], ht), k) for k in active]
-        kept = []
-        for n, (lcm, k) in enumerate(new):
-            if coprime(lead[k], ht) or not any(_divides(other, lcm) for other, _ in new[n + 1 :] + kept):
-                kept.append((lcm, k))
-        for lcm, k in kept:
-            if not coprime(lead[k], ht):
-                pending[(k, t)] = lcm
-                heapq.heappush(heap, (order.key(lcm), k, t))
-        active[:] = [k for k in active if not _divides(ht, lead[k])] + [t]
+        pairs.add(h.leading_term(order)[0])
 
     for g in gens:
         m = g.monic(order)
         if m not in basis:
             add(m)
 
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if pending.pop((i, j), None) is None:
-            continue  # pruned after it was pushed
+    for i, j in pairs:
         s = s_polynomial(basis[i], basis[j], order)
         r = _divide_impl(s, basis, order, False, lead) if s.terms else s
         if r.terms:
             add(r.monic(order))
 
-    # minimalize: strike elements whose leading term another's divides
-    keep = []
-    for i in range(len(basis)):
-        redundant = False
-        for j in range(len(basis)):
-            if i == j:
-                continue
-            if _divides(lead[j], lead[i]) and (lead[j] != lead[i] or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(i)
-
-    # tail-reduce every survivor against the others
+    # tail-reduce every element of a minimal basis against the others
+    keep = pairs.minimal()
     keep.sort(key=lambda i: order.key(lead[i]))
     kept = [basis[i] for i in keep]
     kept_lead = [lead[i] for i in keep]

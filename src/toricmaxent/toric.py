@@ -1,23 +1,27 @@
 """Toric models of integer constraint matrices and their vanishing ideals.
 
 The parametrization map sends positive parameters through the monomials of
-an integer matrix; the toric ideal is recovered over the integers via a
-lattice kernel basis and saturation by the product of the coordinates.
-Membership of a positive point needs no ideal: on the open orthant the model
-is log-linear, and the test is a least-squares fit of its logarithms.
+an integer matrix.  The toric ideal comes from a lattice basis of the
+integer kernel, homogenized by a slack coordinate and saturated by one
+coordinate at a time with a binomial Buchberger under grevlex, whose
+binomials are pairs of exponent vectors; one rational Buchberger under lex
+then gives the reduced basis.  Membership of a positive point needs no
+ideal: on the open orthant the model is log-linear, and the test is a
+least-squares fit of its logarithms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index as as_int
+from itertools import permutations
+from operator import index as as_int, le, mul
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SizeLimitError
-from .ratpoly import LEX, Polynomial, buchberger
+from .ratpoly import LEX, Exponents, MonomialOrder, Polynomial, _lcm, _PairQueue, buchberger
 
 __all__ = [
     "ConstraintMatrix",
@@ -258,36 +262,120 @@ def integer_kernel_basis(matrix: ConstraintMatrix) -> LatticeBasis:
     return LatticeBasis(tuple(vectors))
 
 
-def toric_ideal_generators(matrix: ConstraintMatrix) -> BinomialGenerators:
-    """Reduced generators of the toric ideal in variables ``p1..pm``.
+def _binomial_groebner(
+    binomials: Sequence[tuple[Exponents, Exponents]], order: MonomialOrder
+) -> list[tuple[Exponents, Exponents]]:
+    """Reduced Groebner basis of the ideal of the pure binomials ``x^a - x^b``.
 
-    Builds the lattice-basis binomials, then saturates by the coordinate
-    product: adjoin an auxiliary variable ``w`` with ``w*p1*...*pm - 1`` and
-    eliminate it from a lex basis with ``w`` most significant.
+    Each binomial is stored as its exponent pair ``(lead, trail)``, leading
+    exponent first, and stands for ``x^lead - x^trail``.  Reducing a monomial
+    by a monic binomial gives a monomial, so an S-pair reduces to a binomial
+    or to zero and every coefficient stays +-1: no ``Fraction`` is needed.
+    Pairs are made and pruned by the same Gebauer-Moeller update as
+    :func:`buchberger`.
+    """
+    key = order.key
+    basis: list[tuple[Exponents, Exponents]] = []
+    pairs = _PairQueue(order)
+
+    def normal(e: Exponents, among) -> Exponents:
+        # rewrite x^e until no leading exponent in ``among`` divides it
+        while True:
+            for a, b in among:
+                if all(map(le, a, e)):  # ``_divides`` inlined: the hot loop of the saturation
+                    e = tuple(z - x + y for z, x, y in zip(e, a, b))
+                    break
+            else:
+                return e
+
+    def add(a: Exponents, b: Exponents) -> None:
+        a, b = normal(a, basis), normal(b, basis)
+        if a != b:
+            basis.append((a, b) if key(a) > key(b) else (b, a))
+            pairs.add(basis[-1][0])
+
+    for a, b in binomials:
+        add(a, b)
+    for i, j in pairs:
+        (a, b), (c, d) = basis[i], basis[j]
+        lcm = _lcm(a, c)
+        add(tuple(l - x + y for l, x, y in zip(lcm, a, b)), tuple(l - x + y for l, x, y in zip(lcm, c, d)))
+
+    # reduce the trail of every element of a minimal basis
+    minimal = [basis[i] for i in pairs.minimal()]
+    return [(a, normal(b, minimal)) for a, b in minimal]
+
+
+def _shorten(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Pairwise-reduced basis of the lattice that ``vectors`` span.
+
+    Subtract from a vector the nearest integer multiple of another while
+    that shortens it, until no such step is left.  Each step lowers an
+    integer squared length, so the loop ends.
+    """
+    basis = list(vectors)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in permutations(range(len(basis)), 2):
+            u, v = basis[i], basis[j]
+            vv = sum(x * x for x in v)
+            q = (2 * sum(map(mul, u, v)) + vv) // (2 * vv)  # nearest integer to <u,v>/<v,v>
+            w = tuple(x - q * y for x, y in zip(u, v))
+            if q and sum(x * x for x in w) < sum(x * x for x in u):
+                basis[i] = w
+                changed = True
+    return basis
+
+
+def toric_ideal_generators(matrix: ConstraintMatrix) -> BinomialGenerators:
+    """Reduced lex generators of the toric ideal of ``A`` in variables ``p1..pm``.
+
+    The ideal is the saturation of the lattice-basis ideal by the product of
+    the coordinates, computed on binomials one coordinate at a time
+    (Sturmfels, *Groebner Bases and Convex Polytopes*, Lemma 12.1 and
+    Algorithm 12.3; Hosten and Sturmfels, GRIN, IPCO 1995):
+
+    - *Homogenize.*  Shorten the lattice basis of ``ker A`` pairwise, then
+      extend each vector ``u`` by a slack coordinate ``t`` with entry
+      ``-sum(u)``.  This gives a basis of ``ker [1 ... 1 1; A 0]``, whose
+      binomials are homogeneous for every ``A``: graded, with negative
+      entries or with zero columns alike.  Setting ``t = 1`` maps it back
+      onto ``ker A``.  Short vectors make low-degree binomials: the
+      unshortened basis, or the basis of the lifted matrix, can have
+      entries in the hundreds and saturations that run for minutes.
+    - *Saturate one coordinate at a time.*  For each ``p_k`` that occurs in
+      a generator, compute a binomial Groebner basis under grevlex with
+      ``p_k`` least significant and divide every element by its power of
+      ``p_k``.  For a homogeneous ideal the result is a Groebner basis of the
+      saturation by ``p_k``.  ``t`` needs no step, since setting ``t = 1``
+      maps an ideal and its saturation by ``t`` to the same ideal.
+    - *Finish in lex.*  Set ``t = 1`` and run :func:`buchberger` under lex
+      once.  It returns the unique reduced basis, in ascending order of
+      leading terms.
     """
     if matrix.m > MAX_IDEAL_ALPHABET:
         raise SizeLimitError(
             f"alphabet size {matrix.m} exceeds the exact-ideal limit {MAX_IDEAL_ALPHABET}"
         )
-    basis = integer_kernel_basis(matrix)
-    pvars = tuple(f"p{j + 1}" for j in range(matrix.m))
-    if not basis.vectors:
+    m = matrix.m
+    lattice = [u + (-sum(u),) for u in _shorten(integer_kernel_basis(matrix).vectors)]
+    if not lattice:
         return BinomialGenerators(())
 
-    wvars = ("w",) + pvars
-    gens = []
-    for u in basis.vectors:
-        plus = (0,) + tuple(max(v, 0) for v in u)
-        minus = (0,) + tuple(max(-v, 0) for v in u)
-        gens.append(Polynomial(wvars, {plus: 1, minus: -1}))
-    gens.append(Polynomial(wvars, {(1,) + (1,) * matrix.m: 1, (0,) * (matrix.m + 1): -1}))
-
-    gb = buchberger(gens, LEX)
-    kept = []
-    for g in gb.basis:
-        if all(exps[0] == 0 for exps in g.terms):
-            kept.append(Polynomial(pvars, {exps[1:]: c for exps, c in g.terms.items()}))
-    return BinomialGenerators(tuple(kept))
+    gens = [(tuple(max(v, 0) for v in u), tuple(max(-v, 0) for v in u)) for u in lattice]
+    for k in range(m):
+        if not any(a[k] or b[k] for a, b in gens):
+            continue
+        order = MonomialOrder("grevlex", tuple(i for i in range(m + 1) if i != k) + (k,))
+        saturated = []
+        for a, b in _binomial_groebner(gens, order):
+            c = min(a[k], b[k])
+            saturated.append((a[:k] + (a[k] - c,) + a[k + 1 :], b[:k] + (b[k] - c,) + b[k + 1 :]))
+        gens = saturated
+    pvars = tuple(f"p{j + 1}" for j in range(m))
+    polys = [Polynomial(pvars, {a[:m]: 1, b[:m]: -1}) for a, b in gens]
+    return BinomialGenerators(buchberger(polys, LEX).basis)
 
 
 def verify_model_membership(

@@ -448,6 +448,19 @@ def test_missing_required_flag_exits_two(write_json, capsys):
     capsys.readouterr()
 
 
+def test_argparse_messages_go_to_the_streams_main_was_given(capsys):
+    code, out, err = run(["fit"])
+    assert code == 2
+    assert out == ""
+    assert "usage:" in err
+    assert "required: problem" in err
+    code, out, err = run(["--help"])
+    assert code == 0
+    assert out.startswith("usage: toricmaxent")
+    assert err == ""
+    assert capsys.readouterr() == ("", "")
+
+
 # --- determinism and grammar round trips ---
 
 

@@ -180,6 +180,13 @@ def test_generators_vanish_on_the_model_exactly():
         ([[0, 3, 4, 2], [-2, 2, 0, 1]], None),
         # rational normal curve m=7: the C(6, 2) = 15 quadrics
         ([[1] * 7, list(range(1, 8))], 15),
+        # these two ran for 13 s and for over 8 s under the lex saturation with an extra variable
+        ([[1, 1, 2, 4], [1, 4, 0, 1]], None),
+        ([[1, 4, 1, -1, 1], [-1, -2, 4, 3, 0]], None),
+        # 23 s when the kernel basis ((62,-26,-30,-51,0), (1564,-656,-757,-1286,-1)) goes in unshortened
+        ([[1, 4, 2, -2, -2], [4, 1, 4, 2, 0], [2, 2, -1, 2, 1]], None),
+        # rational normal curve m=10: the C(9, 2) = 36 quadrics
+        ([[1] * 10, list(range(1, 11))], 36),
     ],
 )
 def test_ideal_generators_of_larger_models(rows, count):
@@ -207,6 +214,46 @@ def test_ideal_generators_of_larger_models(rows, count):
     for v in lattice:
         binomial = Polynomial(gens[0].vars, {tuple(max(x, 0) for x in v): 1, tuple(max(-x, 0) for x in v): -1})
         assert gb.reduces_to_zero(binomial)
+
+
+def w_elimination_reference(matrix):
+    """The toric ideal by the lex elimination the binomial saturation replaced.
+
+    Adjoin ``w`` with ``w*p1*...*pm - 1`` to the lattice-basis binomials,
+    take the reduced lex basis with ``w`` most significant, and keep the
+    elements free of ``w``.
+    """
+    pvars = tuple(f"p{j + 1}" for j in range(matrix.m))
+    lattice = integer_kernel_basis(matrix).vectors
+    if not lattice:
+        return ()
+    wvars = ("w",) + pvars
+    gens = [
+        Polynomial(wvars, {(0,) + tuple(max(v, 0) for v in u): 1, (0,) + tuple(max(-v, 0) for v in u): -1})
+        for u in lattice
+    ]
+    gens.append(Polynomial(wvars, {(1,) * (matrix.m + 1): 1, (0,) * (matrix.m + 1): -1}))
+    return tuple(
+        Polynomial(pvars, {exps[1:]: c for exps, c in g.terms.items()})
+        for g in buchberger(gens, LEX).basis
+        if all(exps[0] == 0 for exps in g.terms)
+    )
+
+
+def test_saturation_matches_the_w_elimination_text():
+    # non-graded cases first: a zero column, no all-ones row in the row space,
+    # negative entries; then seed 7, which keeps every reference well under a second
+    matrices = [[[1, -1, 0]], [[1, 0, 2], [2, 0, 1]], [[2, 4, 6]], [[1, -2, 0, 3], [2, 1, -1, 0]]]
+    rng = random.Random(7)
+    for _ in range(40):
+        m, d = rng.randint(2, 5), rng.randint(1, 3)
+        matrices.append([[rng.randint(-2, 4) for _ in range(m)] for _ in range(d)])
+    for rows in matrices:
+        matrix = ConstraintMatrix(rows)
+        gens = toric_ideal_generators(matrix).binomials
+        reference = w_elimination_reference(matrix)
+        for order in (GREVLEX, LEX):
+            assert [poly_to_text(g, order) for g in gens] == [poly_to_text(g, order) for g in reference], rows
 
 
 def test_ideal_alphabet_size_limit():
