@@ -43,7 +43,6 @@ from .ratpoly import (
     laurent_clear,
     multivariate_divide,
     normal_form,
-    order_compare,
     parse_poly,
     poly_to_text,
     s_polynomial,
@@ -54,7 +53,6 @@ from .toric import (
     DistributionVector,
     LatticeBasis,
     MembershipReport,
-    apply_monomial_lift,
     integer_kernel_basis,
     toric_ideal_generators,
     toric_param,
@@ -83,7 +81,6 @@ __all__ = [
     "SampleData",
     "SizeLimitError",
     "UnsupportedStructureError",
-    "apply_monomial_lift",
     "buchberger",
     "direct_system",
     "dual_objective",
@@ -97,7 +94,6 @@ __all__ = [
     "moments",
     "multivariate_divide",
     "normal_form",
-    "order_compare",
     "parse_poly",
     "poly_to_text",
     "s_polynomial",

@@ -4,6 +4,12 @@ Problems arrive as JSON documents; results go to stdout, diagnostics to
 stderr.  Exit codes: 0 success, 1 solver failure (infeasible moments or
 rank deficiency), 2 input error, 3 size limit.  Identical inputs and flags
 produce byte-identical output.
+
+A numeric fit of a valid document loops over the alphabet only in C.
+Each array field (``values``, ``samples``, ``prior``) is validated in one
+pass of ``set(map(type, xs))`` with ``min`` and ``max``; only when that
+fails is the field scanned again in order, so the message names the first
+bad index.  A list of Python floats is emitted by one ``%`` call.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .maxent import (
 from .ratpoly import GREVLEX, LEX, MonomialOrder, poly_to_text
 from .toric import (
     ConstraintMatrix,
+    _as_floats,
     toric_ideal_generators,
     verify_model_membership,
 )
@@ -55,7 +62,7 @@ class InputError(Exception):
 class ConstraintDef:
     name: str
     values: tuple[int, ...]
-    target: Fraction | None
+    target: int | Fraction | None
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,7 @@ class ProblemDef:
     m: int
     constraints: tuple[ConstraintDef, ...]
     samples: tuple[int, ...] | None
-    prior: tuple[Fraction, ...] | None
+    prior: tuple[int | Fraction, ...] | None
 
     def to_problem(self) -> MaxEntProblem:
         matrix = ConstraintMatrix(tuple(c.values for c in self.constraints))
@@ -74,11 +81,11 @@ class ProblemDef:
         return MaxEntProblem.from_targets(matrix, tuple(c.target for c in self.constraints), prior=self.prior)
 
 
-def _as_rational(value, path: str) -> Fraction:
+def _as_rational(value, path: str) -> int | Fraction:
     if isinstance(value, bool):
         raise InputError(f"{path}: expected a number, got a boolean")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -87,12 +94,17 @@ def _as_rational(value, path: str) -> Fraction:
     raise InputError(f"{path}: expected a number or 'a/b' string")
 
 
+def _all_ints(values: list) -> bool:
+    """Whether every entry is an ``int`` (bools excluded), in one C-level pass."""
+    return set(map(type, values)) <= {int}
+
+
 def parse_problem(text: str) -> ProblemDef:
     """Parse and validate a problem document.
 
-    Targets and priors may be integers, decimals (converted exactly from
-    their literal digits) or ``"a/b"`` strings.  Constraint values must be
-    integers.
+    Targets and priors may be integers, which stay ``int``, decimals
+    (converted exactly from their literal digits) or ``"a/b"`` strings.
+    Constraint values must be integers.
     """
     try:
         doc = json.loads(text, parse_float=Fraction)
@@ -117,14 +129,13 @@ def parse_problem(text: str) -> ProblemDef:
     if samples is not None:
         if not isinstance(samples, list) or not samples:
             raise InputError("samples: expected a nonempty array")
-        cleaned = []
-        for j, value in enumerate(samples):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"samples[{j}]: expected an integer symbol")
-            if not 1 <= value <= m:
-                raise InputError(f"samples[{j}]: symbol {value} outside 1..{m}")
-            cleaned.append(value)
-        samples = tuple(cleaned)
+        if not (_all_ints(samples) and 1 <= min(samples) and max(samples) <= m):
+            for j, value in enumerate(samples):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise InputError(f"samples[{j}]: expected an integer symbol")
+                if not 1 <= value <= m:
+                    raise InputError(f"samples[{j}]: symbol {value} outside 1..{m}")
+        samples = tuple(samples)
 
     constraints = []
     for i, raw in enumerate(raw_constraints):
@@ -137,13 +148,10 @@ def parse_problem(text: str) -> ProblemDef:
         values = raw.get("values")
         if not isinstance(values, list) or len(values) != m:
             raise InputError(f"{path}.values: expected an array of length {m}")
-        cleaned_values = []
-        for j, value in enumerate(values):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(
-                    f"{path}.values[{j}]: integer-valued constraint functions are required"
-                )
-            cleaned_values.append(value)
+        if not _all_ints(values):
+            for j, value in enumerate(values):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise InputError(f"{path}.values[{j}]: integer-valued constraint functions are required")
         target = raw.get("target")
         if target is not None:
             if samples is not None:
@@ -151,25 +159,38 @@ def parse_problem(text: str) -> ProblemDef:
             target = _as_rational(target, f"{path}.target")
         elif samples is None:
             raise InputError(f"{path}.target: missing (and no samples given)")
-        constraints.append(ConstraintDef(name, tuple(cleaned_values), target))
+        constraints.append(ConstraintDef(name, tuple(values), target))
 
     prior = doc.get("prior")
     if prior is not None:
         if not isinstance(prior, list) or len(prior) != m:
             raise InputError(f"prior: expected an array of length {m}")
-        weights = []
-        for j, value in enumerate(prior):
-            w = _as_rational(value, f"prior[{j}]")
-            if w <= 0:
-                raise InputError(f"prior[{j}]: weights must be strictly positive")
-            weights.append(w)
-        prior = tuple(weights)
+        if not (_all_ints(prior) and min(prior) > 0):
+            weights = []
+            for j, value in enumerate(prior):
+                w = _as_rational(value, f"prior[{j}]")
+                if w <= 0:
+                    raise InputError(f"prior[{j}]: weights must be strictly positive")
+                weights.append(w)
+            prior = weights
+        prior = tuple(prior)
 
     return ProblemDef(m, tuple(constraints), samples, prior)
 
 
 def _format_real(x: float) -> str:
     return "%.17g" % float(x)
+
+
+def _join(values, sep: str, item) -> str:
+    """``item`` of each value joined by ``sep``; a list of Python floats takes one ``%`` call."""
+    if set(map(type, values)) == {float}:
+        return sep.join(["%.17g"] * len(values)) % tuple(values)
+    return sep.join(map(item, values))
+
+
+def _text_item(value) -> str:
+    return _format_real(value) if isinstance(value, float) else str(value)
 
 
 def _to_json(value) -> str:
@@ -182,7 +203,7 @@ def _to_json(value) -> str:
     if isinstance(value, float):
         return _format_real(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_to_json(v) for v in value) + "]"
+        return "[" + _join(value, ", ", _to_json) + "]"
     if isinstance(value, dict):
         items = (f"{json.dumps(k)}: {_to_json(v)}" for k, v in value.items())
         return "{" + ", ".join(items) + "}"
@@ -203,10 +224,7 @@ def _emit(out, payload: dict, fmt: str) -> None:
                 for v in value:
                     out.write(f"{key}: {v}\n")
             else:
-                rendered = " ".join(
-                    _format_real(v) if isinstance(v, float) else str(v) for v in value
-                )
-                out.write(f"{key}: {rendered}\n")
+                out.write(f"{key}: {_join(value, ' ', _text_item)}\n")
         else:
             out.write(f"{key}: {value}\n")
 
@@ -255,7 +273,7 @@ def _fit_payload(result) -> dict:
         payload["xi_empirical"] = [float(v) for v in result.xi_empirical]
     payload.update(
         {
-            "p": list(result.p),
+            "p": result.p.probs,
             "logZ": float(result.log_z),
             "residual": float(result.residual),
         }
@@ -347,7 +365,7 @@ def _cmd_check(args, out, err) -> int:
     problem = parsed.to_problem()
     p = _read_distribution(args.dist, parsed.m)
     report = verify_model_membership(p, problem.matrix, tol=args.tol, prior=problem.prior)
-    targets = [float(t) for t in problem.target_values()]
+    targets = _as_floats(problem.target_values(), "targets").tolist()
     mom = moments(problem.matrix, p)
     residuals = [abs(a - b) for a, b in zip(mom, targets)]
     max_moment = max(residuals)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import gt
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +25,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .ratpoly import LEX, MonomialOrder, Polynomial, buchberger, laurent_clear
-from .toric import ConstraintMatrix, DistributionVector, _prior_floats
+from .toric import ConstraintMatrix, DistributionVector, _as_floats, _prior_floats
 
 __all__ = [
     "DEFAULT_TOL",
@@ -89,7 +91,7 @@ class MaxEntProblem:
             prior = tuple(self.prior)
             if len(prior) != self.matrix.m:
                 raise ValueError("prior length does not match alphabet size")
-            if any(not w > 0 for w in prior):
+            if not all(map(gt, prior, repeat(0))):
                 raise ValueError("prior weights must be strictly positive")
             object.__setattr__(self, "prior", prior)
         names = self.theta_names
@@ -237,13 +239,14 @@ def moments(matrix: ConstraintMatrix, p: Sequence) -> tuple[float, ...]:
 
 def sample_sums(observations: Sequence[int], matrix: ConstraintMatrix) -> SampleData:
     """Exact integer constraint sums of a sample of symbols from 1..m."""
-    obs = tuple(int(o) for o in observations)
+    obs = tuple(map(int, observations))
     if not obs:
         raise ValueError("empty sample")
-    for o in obs:
-        if not 1 <= o <= matrix.m:
-            raise ValueError(f"observation {o} outside 1..{matrix.m}")
-    sums = tuple(sum(row[o - 1] for o in obs) for row in matrix.rows)
+    if not (1 <= min(obs) and max(obs) <= matrix.m):
+        bad = next(o for o in obs if not 1 <= o <= matrix.m)
+        raise ValueError(f"observation {bad} outside 1..{matrix.m}")
+    index = [o - 1 for o in obs]
+    sums = tuple(sum(map(row.__getitem__, index)) for row in matrix.rows)
     return SampleData(obs, len(obs), sums)
 
 
@@ -490,7 +493,7 @@ def fit_numeric(
         raise ValueError("max_iter must be at least 1")
     arr = problem.matrix.to_array()
     h = _prior_floats(problem.matrix, problem.prior)
-    targets = np.array([float(t) for t in problem.target_values()])
+    targets = _as_floats(problem.target_values(), "targets")
     if solver == "gis":
         xi, iterations = _fit_gis(arr, h, targets, tol, max_iter or GIS_MAX_ITER)
     elif solver == "newton":
@@ -533,7 +536,7 @@ def fit_algebraic(problem: MaxEntProblem) -> FitResult:
     xi = np.array([-math.log(float(t)) for t in theta])
     arr = problem.matrix.to_array()
     h = _prior_floats(problem.matrix, problem.prior)
-    return _package_fit(problem, arr, h, np.array([float(t) for t in targets]), xi, 0, "groebner")
+    return _package_fit(problem, arr, h, _as_floats(targets, "targets"), xi, 0, "groebner")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ __all__ = [
     "MonomialOrder",
     "LEX",
     "GREVLEX",
-    "order_compare",
     "Polynomial",
     "multivariate_divide",
     "normal_form",

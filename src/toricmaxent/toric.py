@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from operator import index as as_int, le, mul
+from functools import cached_property
+from itertools import permutations, repeat
+from operator import index as as_int, le, lt, mul
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "BinomialGenerators",
     "MembershipReport",
     "toric_param",
-    "apply_monomial_lift",
     "integer_kernel_basis",
     "toric_ideal_generators",
     "verify_model_membership",
@@ -47,7 +47,7 @@ class ConstraintMatrix:
 
     def __post_init__(self) -> None:
         try:
-            rows = tuple(tuple(as_int(v) for v in row) for row in self.rows)
+            rows = tuple(tuple(map(as_int, row)) for row in self.rows)
         except TypeError as exc:
             raise ValueError("matrix entries must be integers") from exc
         if len(rows) < 1:
@@ -70,20 +70,40 @@ class ConstraintMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
 
+    @cached_property
+    def _floats(self) -> np.ndarray:
+        arr = _as_floats(self.rows, "constraint values")
+        arr.flags.writeable = False
+        return arr
+
     def to_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=float)
+        """The entries as a read-only float array, converted on first use only."""
+        return self._floats
+
+
+def _as_floats(values, what: str) -> np.ndarray:
+    """Float array of exact numbers; a value beyond float range is an input error."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{what} are too large for a float") from None
 
 
 def _prior_floats(matrix: ConstraintMatrix, prior: Sequence | None) -> np.ndarray:
     """Float weights ``h`` of a prior on the alphabet; unit weights when omitted."""
     if prior is None:
         return np.ones(matrix.m)
-    h = np.asarray(prior, dtype=float)
+    h = _as_floats(prior, "prior weights")
     if h.shape != (matrix.m,):
         raise ValueError("prior length does not match alphabet size")
     if not np.all(h > 0):
         raise ValueError("prior weights must be strictly positive")
     return h
+
+
+def _exact(probs: tuple) -> bool:
+    """Whether every entry is an exact rational, an ``int`` or a ``Fraction``."""
+    return all(issubclass(kind, (int, Fraction)) for kind in set(map(type, probs)))
 
 
 @dataclass(frozen=True)
@@ -96,10 +116,10 @@ class DistributionVector:
         probs = tuple(self.probs)
         if not probs:
             raise ValueError("empty distribution")
-        if any(x < 0 for x in probs):
+        if any(map(lt, probs, repeat(0))):
             raise ValueError("negative probability")
         total = sum(probs)
-        if all(isinstance(x, (int, Fraction)) for x in probs):
+        if _exact(probs):
             if total != 1:
                 raise ValueError(f"exact distribution sums to {total}, not 1")
         elif abs(float(total) - 1.0) > 1e-12:
@@ -108,7 +128,7 @@ class DistributionVector:
 
     @property
     def exact(self) -> bool:
-        return all(isinstance(x, (int, Fraction)) for x in self.probs)
+        return _exact(self.probs)
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(x) for x in self.probs)

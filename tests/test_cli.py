@@ -1,13 +1,17 @@
 """Command-line front end: parsing, commands, exit codes, output formats."""
 
+import hashlib
 import io
 import json
+import math
+import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from toricmaxent.cli import InputError, main, parse_problem
+from toricmaxent.cli import InputError, _emit, main, parse_problem
 from toricmaxent.ratpoly import parse_poly, poly_to_text
 
 DICE = {"m": 6, "constraints": [{"name": "mean", "values": [1, 2, 3, 4, 5, 6], "target": "9/2"}]}
@@ -104,6 +108,58 @@ def test_parse_rejects_nonpositive_prior():
     }
     with pytest.raises(InputError, match="prior"):
         parse_problem(json.dumps(bad))
+
+
+def _doc(values=(0, 1, 2), samples=None, prior=None) -> str:
+    constraint = {"name": "t", "values": list(values)}
+    if samples is None:
+        constraint["target"] = "1"
+    doc = {"m": 3, "constraints": [constraint]}
+    if samples is not None:
+        doc["samples"] = samples
+    if prior is not None:
+        doc["prior"] = prior
+    return json.dumps(doc)
+
+
+# Each field is checked in one pass; a failure is rescanned in order, so the
+# message names the first bad index even when a later entry fails a
+# different test (the minimum of samples [2, true, 0] sits at index 2).
+PARSE_ERRORS = {
+    "bool value": (_doc(values=[0, True, 2]), "constraints[0].values[1]: integer-valued constraint functions are required"),
+    "float value": (_doc(values=[0, 1, 1.5]), "constraints[0].values[2]: integer-valued constraint functions are required"),
+    "value before bool": (_doc(values=[0.5, True, 2]), "constraints[0].values[0]: integer-valued constraint functions are required"),
+    "sample 0": (_doc(samples=[1, 0, 2]), "samples[1]: symbol 0 outside 1..3"),
+    "sample m+1": (_doc(samples=[1, 2, 4]), "samples[2]: symbol 4 outside 1..3"),
+    "bool sample": (_doc(samples=[2, True, 0]), "samples[1]: expected an integer symbol"),
+    "float sample": (_doc(samples=[3, 1.0]), "samples[1]: expected an integer symbol"),
+    "zero weight": (_doc(prior=[1, 0, 2]), "prior[1]: weights must be strictly positive"),
+    "negative weight": (_doc(prior=[1, 2, -3]), "prior[2]: weights must be strictly positive"),
+    "negative rational weight": (_doc(prior=["1/2", "-1/3", 0]), "prior[1]: weights must be strictly positive"),
+    "bad rational": (_doc(prior=[1, "1/x", 0]), "prior[1]: cannot parse '1/x' as a rational"),
+    "weight before bad rational": (_doc(prior=[0, "1/x", 1]), "prior[0]: weights must be strictly positive"),
+    "zero denominator": (_doc(prior=["1/0", 1, 1]), "prior[0]: cannot parse '1/0' as a rational"),
+    "bool weight": (_doc(prior=[1, 1, False]), "prior[2]: expected a number, got a boolean"),
+    "null weight": (_doc(prior=[1, None, 1]), "prior[1]: expected a number or 'a/b' string"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSE_ERRORS))
+def test_parse_error_names_the_first_bad_index(case):
+    text, message = PARSE_ERRORS[case]
+    with pytest.raises(InputError) as exc:
+        parse_problem(text)
+    assert str(exc.value) == message
+
+
+def test_parse_accepts_every_prior_weight_form():
+    parsed = parse_problem(_doc(prior=["1/2", 3, 0.25]))
+    assert parsed.prior == (Fraction(1, 2), 3, Fraction(1, 4))
+    assert parse_problem(_doc(prior=[" 2/4 ", "7", "1e-3"])).prior == (Fraction(1, 2), 7, Fraction(1, 1000))
+    assert parse_problem(_doc(prior=[1, 2, 3])).prior == (1, 2, 3)
+    parsed = parse_problem(_doc(samples=[3, 1, 3]))
+    assert parsed.samples == (3, 1, 3)
+    assert parsed.constraints[0].values == (0, 1, 2)
 
 
 # --- fit command ---
@@ -515,6 +571,118 @@ def test_fit_json_output_is_pinned(write_json, case):
     code, out, err = run(["fit", write_json(doc), "--solver", solver, "--format", "json"])
     assert (code, err) == (0, "")
     assert out == expected
+
+
+def _large_problem(seed: int, m: int, d: int, mode: str) -> dict:
+    """Entries 0..4; either samples, or an integer prior with the uniform moments as targets."""
+    rng = random.Random(seed)
+    rows = [[rng.randrange(5) for _ in range(m)] for _ in range(d)]
+    doc = {"m": m, "constraints": [{"name": f"f{i + 1}", "values": row} for i, row in enumerate(rows)]}
+    if mode == "samples":
+        doc["samples"] = [rng.randrange(1, m + 1) for _ in range(2000)]
+    else:
+        doc["prior"] = [rng.randrange(1, 4) for _ in range(m)]
+        for constraint, row in zip(doc["constraints"], rows):
+            constraint["target"] = f"{sum(row)}/{m}"
+    return doc
+
+
+# sha256 of `fit --format json` stdout at m = 10^4, where every float list is
+# emitted in bulk; captured before the bulk paths were written.
+GOLDEN_LARGE_FITS = {
+    "newton-prior": ("newton", "prior", "6bec22fd0cfc79ab49f0fced15cdd19ef620607d86e108bddbdeff87465a16e8", 239035),
+    "gis-samples": ("gis", "samples", "fc026c61b9b64af9f26e017100f9284055f8ad2c47163e6eab2dc3a3b7a2139e", 238957),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_LARGE_FITS))
+def test_large_fit_json_output_is_pinned(write_json, case):
+    solver, mode, digest, size = GOLDEN_LARGE_FITS[case]
+    code, out, err = run(["fit", write_json(_large_problem(8, 10_000, 3, mode)), "--solver", solver, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == (digest, size)
+
+
+EDGE_PAYLOADS = {
+    "edge floats": (
+        {"p": [-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]},
+        '{"p": [-0, 4.9406564584124654e-324, 1.0000000000000001e+300, nan, inf, -inf]}\n',
+        "p: -0 4.9406564584124654e-324 1.0000000000000001e+300 nan inf -inf\n",
+    ),
+    "numpy floats": (
+        {"p": [np.float64(0.1), np.float64(-0.0), np.float64(5e-324)], "x": np.float64(1 / 3)},
+        '{"p": [0.10000000000000001, -0, 4.9406564584124654e-324], "x": 0.33333333333333331}\n',
+        "p: 0.10000000000000001 -0 4.9406564584124654e-324\nx: 0.33333333333333331\n",
+    ),
+    "mixed lists": (
+        {"p": [1, 0.5, 2, -0.0], "q": [0.25, True, 3], "s": ["a", "b"], "e": [], "f": 1e-300, "n": None, "b": False},
+        '{"p": [1, 0.5, 2, -0], "q": [0.25, true, 3], "s": ["a", "b"], "e": [], "f": 1e-300, "n": null, "b": false}\n',
+        "p: 1 0.5 2 -0\nq: 0.25 True 3\ns: a\ns: b\nf: 1e-300\nn: None\nb: False\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_PAYLOADS))
+def test_emit_bytes_of_edge_values(case):
+    payload, as_json, as_text = EDGE_PAYLOADS[case]
+    for fmt, expected in (("json", as_json), ("text", as_text)):
+        out = io.StringIO()
+        _emit(out, payload, fmt)
+        assert out.getvalue() == expected
+
+
+# --- numbers beyond float range ---
+
+
+HUGE_VALUES = {"m": 3, "constraints": [{"name": "t", "values": [0, 1, 10**400], "target": "1/2"}]}
+HUGE_PRIOR = '{"m": 3, "constraints": [{"name": "t", "values": [0, 1, 2], "target": "1/2"}], "prior": [1e400, 1, 1]}'
+HUGE_TARGET = '{"m": 3, "constraints": [{"name": "t", "values": [0, 1, 2], "target": 1e400}]}'
+
+
+def _write_text(tmp_path, doc) -> str:
+    path = tmp_path / "problem.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("solver", ["newton", "gis"])
+def test_fit_values_beyond_float_range_exit_two(tmp_path, solver):
+    code, out, err = run(["fit", _write_text(tmp_path, HUGE_VALUES), "--solver", solver])
+    assert (code, out, err) == (2, "", "error: constraint values are too large for a float\n")
+
+
+def test_groebner_fit_values_beyond_float_range_keeps_its_size_limit(tmp_path):
+    code, out, err = run(["fit", _write_text(tmp_path, HUGE_VALUES), "--solver", "groebner"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: total degree 1" + "0" * 400 + " exceeds the exact-solve limit 8")
+
+
+@pytest.mark.parametrize("solver", ["newton", "gis", "groebner"])
+def test_fit_prior_beyond_float_range_exits_two(tmp_path, solver):
+    code, out, err = run(["fit", _write_text(tmp_path, HUGE_PRIOR), "--solver", solver])
+    assert (code, out, err) == (2, "", "error: prior weights are too large for a float\n")
+
+
+@pytest.mark.parametrize("solver", ["newton", "gis", "groebner"])
+def test_fit_target_beyond_float_range(tmp_path, solver):
+    code, out, err = run(["fit", _write_text(tmp_path, HUGE_TARGET), "--solver", solver])
+    if solver == "groebner":
+        # the exact path decides it has no positive root before it needs a float
+        assert (code, out, err) == (1, "", "error: direct system has no positive solution\n")
+    else:
+        assert (code, out, err) == (2, "", "error: targets are too large for a float\n")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [(HUGE_VALUES, "constraint values are too large for a float"), (HUGE_TARGET, "targets are too large for a float")],
+    ids=["values", "target"],
+)
+def test_check_numbers_beyond_float_range_exit_two(tmp_path, doc, message):
+    dist = tmp_path / "p.json"
+    dist.write_text("[0.25, 0.5, 0.25]")
+    code, out, err = run(["check", _write_text(tmp_path, doc), "--dist", str(dist)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_emitted_polynomials_reparse_equal(write_json):

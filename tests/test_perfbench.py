@@ -1,16 +1,17 @@
-"""The benchmark's tracer finds every module attribute it wraps, and puts each back."""
+"""The benchmark's tracer finds every module attribute it wraps and puts each back; its oracle accepts numeric fits."""
 
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
 from toricmaxent import cli, maxent, ratpoly, toric
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench_module(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses resolve their annotations through sys.modules
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -19,7 +20,7 @@ def load_spans(monkeypatch):
 
 
 def test_tracer_install_then_uninstall_restores_every_attribute(monkeypatch):
-    spans = load_spans(monkeypatch)
+    spans = load_perfbench_module(monkeypatch, "spans")
     owners = {"cli": cli, "cli.ProblemDef": cli.ProblemDef, "maxent": maxent, "ratpoly": ratpoly, "toric": toric}
     before = {name: dict(vars(owner)) for name, owner in owners.items()}
     tracer = spans.Tracer()
@@ -42,3 +43,26 @@ def test_tracer_install_then_uninstall_restores_every_attribute(monkeypatch):
         after = dict(vars(owner))
         assert after.keys() == before[name].keys()
         assert all(after[attr] is value for attr, value in before[name].items()), name
+
+
+# one request per solver and mode, m <= 10^4, as the numeric-fit workload sends them
+NUMERIC_PLAN = [
+    (1000, 1, "newton", "targets", 1), (1000, 3, "newton", "prior", 1), (10000, 2, "newton", "samples", 1),
+    (10000, 5, "gis", "targets", 1), (1000, 3, "gis", "prior", 1), (1000, 3, "gis", "samples", 1),
+]
+
+
+def test_numeric_fit_requests_pass_the_benchmark_oracle(monkeypatch, tmp_path):
+    corpus = load_perfbench_module(monkeypatch, "corpus")
+    oracle = load_perfbench_module(monkeypatch, "oracle").Oracle(ratpoly.parse_poly)
+    requests = corpus.numeric_fit_corpus(4, scale={"plan": NUMERIC_PLAN})
+    assert len({req.rid for req in requests}) == len(NUMERIC_PLAN) + len(corpus.STALL_PROBES)
+    for req in {req.rid: req for req in requests}.values():
+        folder = tmp_path / req.rid.replace("/", "_")
+        folder.mkdir()
+        for name, text in req.files.items():
+            (folder / name).write_text(text)
+        argv = [str(folder / a[1:]) if a.startswith("@") else a for a in req.argv]
+        out, err = io.StringIO(), io.StringIO()
+        rc = cli.main(argv, out, err)
+        assert oracle.verdict(req, rc, out.getvalue()) is None, (req.rid, err.getvalue())
