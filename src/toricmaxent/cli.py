@@ -178,14 +178,17 @@ def parse_problem(text: str) -> ProblemDef:
     return ProblemDef(m, tuple(constraints), samples, prior)
 
 
+_REAL_FORMAT = "%.17g"
+
+
 def _format_real(x: float) -> str:
-    return "%.17g" % float(x)
+    return _REAL_FORMAT % float(x)
 
 
 def _join(values, sep: str, item) -> str:
     """``item`` of each value joined by ``sep``; a list of Python floats takes one ``%`` call."""
     if set(map(type, values)) == {float}:
-        return sep.join(["%.17g"] * len(values)) % tuple(values)
+        return sep.join([_REAL_FORMAT] * len(values)) % tuple(values)
     return sep.join(map(item, values))
 
 
