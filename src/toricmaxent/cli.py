@@ -258,7 +258,10 @@ def _read_distribution(path: str, m: int) -> tuple[float, ...]:
     for j, value in enumerate(doc):
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise InputError(f"distribution file: p[{j}] is not a number")
-        values.append(float(value))
+        try:
+            values.append(float(value))
+        except OverflowError:
+            raise InputError(f"distribution file: p[{j}] is too large for a float") from None
     return tuple(values)
 
 
@@ -302,9 +305,7 @@ def _cmd_fit(args, out, err) -> int:
 def _cmd_system(args, out, err) -> int:
     parsed = parse_problem(_read_text(args.problem))
     problem = parsed.to_problem()
-    system = direct_system(
-        problem.matrix, problem.target_values(), problem.prior, problem.theta_names
-    )
+    system = direct_system(problem.matrix, problem.target_values(), problem.prior)
     order = _text_order(args)
     rendered = [poly_to_text(eq, order) for eq in system.equations]
     if args.format == "json":
@@ -323,10 +324,7 @@ def _cmd_dual(args, out, err) -> int:
     parsed = parse_problem(_read_text(args.problem))
     problem = parsed.to_problem()
     source = problem.samples if problem.samples is not None else problem.targets
-    try:
-        system = dual_system(problem.matrix, source, problem.prior, problem.theta_names)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    system = dual_system(problem.matrix, source, problem.prior)
     order = _text_order(args)
     payload = {
         "provenance": system.provenance,
@@ -462,10 +460,7 @@ def main(argv=None, out=None, err=None) -> int:
         return EXIT_INPUT
     try:
         return _COMMANDS[args.command](args, out, err)
-    except InputError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT
     except SizeLimitError as exc:

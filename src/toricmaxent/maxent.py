@@ -24,7 +24,7 @@ from .errors import (
     SizeLimitError,
     UnsupportedStructureError,
 )
-from .ratpoly import LEX, MonomialOrder, Polynomial, buchberger, laurent_clear
+from .ratpoly import LEX, Polynomial, buchberger, laurent_clear
 from .toric import ConstraintMatrix, DistributionVector, _as_floats, _prior_floats
 
 __all__ = [
@@ -69,15 +69,14 @@ class MaxEntProblem:
     """A constraint matrix with either moment targets or raw samples.
 
     ``prior`` holds positive reference weights (unit weights when omitted;
-    only their ratios matter).  ``theta_names`` names the parameters of the
-    polynomial systems, default ``t1..td``.
+    only their ratios matter).  The polynomial systems of a problem are in
+    the parameters ``t1..td``, one per constraint row.
     """
 
     matrix: ConstraintMatrix
     targets: tuple | None = None
     samples: SampleData | None = None
     prior: tuple | None = None
-    theta_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if (self.targets is None) == (self.samples is None):
@@ -94,14 +93,6 @@ class MaxEntProblem:
             if not all(map(gt, prior, repeat(0))):
                 raise ValueError("prior weights must be strictly positive")
             object.__setattr__(self, "prior", prior)
-        names = self.theta_names
-        if names is None:
-            names = tuple(f"t{i + 1}" for i in range(self.matrix.d))
-        else:
-            names = tuple(names)
-            if len(names) != self.matrix.d:
-                raise ValueError("need one parameter name per constraint")
-        object.__setattr__(self, "theta_names", names)
 
     @classmethod
     def from_targets(cls, matrix: ConstraintMatrix, targets: Sequence, prior: Sequence | None = None) -> "MaxEntProblem":
@@ -261,69 +252,52 @@ def _exact_weights(matrix: ConstraintMatrix, prior: Sequence | None) -> list[Fra
     return weights
 
 
-def direct_system(
-    matrix: ConstraintMatrix,
-    targets: Sequence,
-    prior: Sequence | None = None,
-    theta_names: Sequence[str] | None = None,
-) -> PolySystem:
-    """Moment-matching system in the primal parameters ``theta_k = exp(-xi_k)``.
+def _laurent_sum(d: int, terms) -> Polynomial:
+    """Laurent polynomial in ``t1..td`` summing the ``(exponents, coefficient)`` pairs."""
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in terms:
+        acc[exps] = acc.get(exps, 0) + coeff
+    return Polynomial(tuple(f"t{i + 1}" for i in range(d)), acc, laurent=True)
 
-    Equation i collects ``h_j (t_i(j) - T_i) prod_k theta_k^t_k(j)`` over the
+
+def direct_system(matrix: ConstraintMatrix, targets: Sequence, prior: Sequence | None = None) -> PolySystem:
+    """Moment-matching system in the primal parameters ``t_k = exp(-xi_k)``.
+
+    Equation i collects ``h_j (t_i(j) - T_i) prod_k t_k^t_k(j)`` over the
     alphabet; targets may be any rationals.  Denominators are cleared, so the
-    equations are ordinary and their positive roots are exactly the fitted
-    parameters.
+    equations are ordinary polynomials in ``t1..td`` and their positive roots
+    are exactly the fitted parameters.
     """
-    d, m = matrix.d, matrix.m
+    d = matrix.d
     T = [Fraction(t) for t in targets]
     if len(T) != d:
         raise ValueError("target length does not match constraint count")
     h = _exact_weights(matrix, prior)
-    names = tuple(theta_names) if theta_names is not None else tuple(f"t{i + 1}" for i in range(d))
+    columns = [matrix.column(j) for j in range(matrix.m)]
     equations = []
-    for i in range(d):
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for j in range(m):
-            exps = matrix.column(j)
-            coeff = h[j] * (matrix.rows[i][j] - T[i])
-            acc = terms.get(exps, Fraction(0)) + coeff
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
-        raw = Polynomial(names, terms, laurent=True)
-        _, cleared = laurent_clear(raw)
-        equations.append(cleared)
+    for row, t in zip(matrix.rows, T):
+        raw = _laurent_sum(d, zip(columns, (w * (a - t) for w, a in zip(h, row))))
+        equations.append(laurent_clear(raw)[1])
     return PolySystem(tuple(equations), "direct")
 
 
-def dual_system(
-    matrix: ConstraintMatrix,
-    targets,
-    prior: Sequence | None = None,
-    theta_names: Sequence[str] | None = None,
-) -> PolySystem:
-    """Stationarity system of the Laurent dual objective.
+def dual_system(matrix: ConstraintMatrix, targets, prior: Sequence | None = None) -> PolySystem:
+    """Stationarity system of the Laurent dual objective in ``t1..td``.
 
-    With integer targets the objective is ``sum_j h_j prod_i theta_i^(T_i -
-    t_i(j))`` in ``theta_i = exp(xi_i)``.  Passing :class:`SampleData`
-    instead builds the empirical variant with exponents ``sigma_i - N
-    t_i(j)`` in ``theta_i = exp(xi_i / N)``, which needs no integrality of
-    the moment targets.  Equations are the cleared partials; the raw Laurent
-    gradient and objective ride along.
+    With integer targets the objective is ``sum_j h_j prod_i t_i^(T_i -
+    t_i(j))`` in ``t_i = exp(xi_i)``.  Passing :class:`SampleData` instead
+    builds the empirical variant with exponents ``sigma_i - N t_i(j)`` in
+    ``t_i = exp(xi_i / N)``, which needs no integrality of the moment
+    targets; integer targets are the case ``sigma = T``, ``N = 1``.
+    Equations are the cleared partials; the raw Laurent gradient and
+    objective ride along.
     """
-    d, m = matrix.d, matrix.m
+    d = matrix.d
     h = _exact_weights(matrix, prior)
-    names = tuple(theta_names) if theta_names is not None else tuple(f"t{i + 1}" for i in range(d))
-
     if isinstance(targets, SampleData):
         if len(targets.sums) != d:
             raise ValueError("sample sums do not match constraint count")
-        provenance = "dual-empirical"
-
-        def exponents(j: int) -> tuple[int, ...]:
-            return tuple(targets.sums[i] - targets.count * matrix.rows[i][j] for i in range(d))
-
+        sums, count, provenance = targets.sums, targets.count, "dual-empirical"
     else:
         T = [Fraction(t) for t in targets]
         if len(T) != d:
@@ -333,21 +307,9 @@ def dual_system(
                 "dual integer mode needs integer targets; build the system "
                 "from samples for the empirical variant"
             )
-        T = [int(t) for t in T]
-        provenance = "dual"
-
-        def exponents(j: int) -> tuple[int, ...]:
-            return tuple(T[i] - matrix.rows[i][j] for i in range(d))
-
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for j in range(m):
-        exps = exponents(j)
-        acc = terms.get(exps, Fraction(0)) + h[j]
-        if acc:
-            terms[exps] = acc
-        else:
-            terms.pop(exps, None)
-    objective = Polynomial(names, terms, laurent=True)
+        sums, count, provenance = [int(t) for t in T], 1, "dual"
+    exponents = (tuple(s - count * a for s, a in zip(sums, matrix.column(j))) for j in range(matrix.m))
+    objective = _laurent_sum(d, zip(exponents, h))
     gradient = tuple(objective.differentiate(k) for k in range(d))
     cleared = tuple(laurent_clear(g)[1] for g in gradient)
     return PolySystem(cleared, provenance, gradient=gradient, objective=objective)
@@ -528,7 +490,7 @@ def fit_algebraic(problem: MaxEntProblem) -> FitResult:
     ``xi_k = -ln theta_k``.
     """
     targets = [Fraction(t) for t in problem.target_values()]
-    system = direct_system(problem.matrix, targets, problem.prior, problem.theta_names)
+    system = direct_system(problem.matrix, targets, problem.prior)
     solutions = solve_algebraic(system)
     if not solutions:
         raise InfeasibleMomentsError("direct system has no positive solution")
@@ -615,11 +577,11 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     return whole + 1 / tail
 
 
-def _positive_real_roots(coeffs: Sequence[Fraction], width: Fraction = ROOT_WIDTH) -> list[Fraction]:
-    """All positive real roots, as exact rationals within ``width`` of the truth.
+def _positive_real_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
+    """All positive real roots, as exact rationals within ``ROOT_WIDTH`` of the truth.
 
     Rational roots of moderate denominator are recovered exactly: once an
-    isolating interval has shrunk below ``width``, the smallest-denominator
+    isolating interval has shrunk below ``ROOT_WIDTH``, the smallest-denominator
     rational inside it is tested and returned when it is a genuine root.
     """
     c = _upoly_trim([Fraction(v) for v in coeffs])
@@ -669,7 +631,7 @@ def _positive_real_roots(coeffs: Sequence[Fraction], width: Fraction = ROOT_WIDT
     for lo, hi_ in isolated:
         lo_sign = 1 if _upoly_eval(square_free, lo) > 0 else -1
         exact = None
-        while hi_ - lo > width:
+        while hi_ - lo > ROOT_WIDTH:
             mid = (lo + hi_) / 2
             value = _upoly_eval(square_free, mid)
             if value == 0:
@@ -688,14 +650,14 @@ def _positive_real_roots(coeffs: Sequence[Fraction], width: Fraction = ROOT_WIDT
     return roots
 
 
-def solve_algebraic(system: PolySystem, order: MonomialOrder | None = None) -> list[tuple[Fraction, ...]]:
+def solve_algebraic(system: PolySystem) -> list[tuple[Fraction, ...]]:
     """Positive real solutions of a cleared polynomial system, exactly isolated.
 
-    Computes a lex Groebner basis, requires a triangular result (a univariate
-    eliminant in the least significant variable, every other variable entering
-    linearly), isolates the eliminant's positive roots by Sturm bisection in
-    exact rational arithmetic to width 1e-12, and back-substitutes.  Roots hit
-    exactly stay exact rationals.
+    Computes the lex Groebner basis with ``t1`` most significant, requires a
+    triangular result (a univariate eliminant in the last variable, every
+    other variable entering linearly), isolates the eliminant's positive
+    roots by Sturm bisection in exact rational arithmetic to width 1e-12, and
+    back-substitutes.  Roots hit exactly stay exact rationals.
 
     Raises :class:`UnsupportedStructureError` when the basis is not triangular
     (callers fall back to numeric fitting) and :class:`SizeLimitError` beyond
@@ -714,32 +676,25 @@ def solve_algebraic(system: PolySystem, order: MonomialOrder | None = None) -> l
     if degree > MAX_SOLVE_DEGREE:
         raise SizeLimitError(f"total degree {degree} exceeds the exact-solve limit {MAX_SOLVE_DEGREE}")
 
-    if order is None:
-        order = MonomialOrder("lex", tuple(range(n)))
-    if order.kind != "lex":
-        raise UnsupportedStructureError("triangular back-substitution needs a lex order")
-
-    gb = buchberger(equations, order)
-    basis = gb.basis
+    basis = buchberger(equations, LEX).basis
     if any(g.total_degree() == 0 for g in basis):
         return []  # a nonzero constant generates the unit ideal: no solutions
 
     pure: dict[int, Polynomial] = {}
     for g in basis:
-        exps, _ = g.leading_term(order)
+        exps, _ = g.leading_term(LEX)
         support = [k for k, e in enumerate(exps) if e]
         if len(support) == 1:
             pure.setdefault(support[0], g)
     if set(pure) != set(range(n)):
         raise UnsupportedStructureError("system is not zero-dimensional")
 
-    significance = list(order.priority) if order.priority is not None else list(range(n))
-    last = significance[-1]
+    last = n - 1
     eliminant = pure[last]
-    if any(e for exps in eliminant.terms for k, e in enumerate(exps) if k != last):
+    if any(any(exps[:last]) for exps in eliminant.terms):
         raise UnsupportedStructureError("eliminant mixes variables")
-    for v in significance[:-1]:
-        exps, _ = pure[v].leading_term(order)
+    for v in range(last):
+        exps, _ = pure[v].leading_term(LEX)
         if exps[v] != 1:
             raise UnsupportedStructureError(
                 f"variable {names[v]} enters nonlinearly; fall back to numeric fitting"
@@ -753,26 +708,17 @@ def solve_algebraic(system: PolySystem, order: MonomialOrder | None = None) -> l
 
     solutions = []
     for root in root_values:
-        values: dict[int, Fraction] = {last: root}
-        good = True
-        for v in reversed(significance[:-1]):
+        # under lex, pure[v] is c*t_v plus terms in t_(v+1)..t_n only, so
+        # evaluating it with t_1..t_v at 0 leaves exactly its tail
+        values = [0] * last + [root]
+        for v in reversed(range(last)):
             g = pure[v]
-            lead_exps, lead_coeff = g.leading_term(order)
-            tail = Fraction(0)
-            for exps, coeff in g.terms.items():
-                if exps == lead_exps:
-                    continue
-                term = coeff
-                for k, e in enumerate(exps):
-                    if e:
-                        term *= values[k] ** e
-                tail += term
-            value = -tail / lead_coeff
+            _, lead_coeff = g.leading_term(LEX)
+            value = -g.evaluate(values) / lead_coeff
             if not value > 0:
-                good = False
                 break
             values[v] = value
-        if good and root > 0:
-            solutions.append(tuple(values[k] for k in range(n)))
+        else:
+            solutions.append(tuple(values))
     solutions.sort()
     return solutions

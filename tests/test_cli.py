@@ -273,6 +273,81 @@ def test_dual_rejects_fractional_targets(write_json):
     assert "integer targets" in err
 
 
+# `system` and `dual` stdout pinned byte for byte on d = 2 and d = 3 problems
+# with a prior, in both formats and under lex and the default grevlex.  The
+# samples cases cover the empirical dual; the targets cases the integer one.
+D2 = {"m": 4, "constraints": [{"name": "a", "values": [1, 0, 2, 1], "target": 1}, {"name": "b", "values": [0, 2, 1, 3], "target": 2}], "prior": [1, 2, 3, 4]}
+D2_SAMPLES = {"m": 4, "constraints": [{"name": "a", "values": [1, 0, 2, 1]}, {"name": "b", "values": [0, 2, 1, 3]}], "samples": [1, 2, 2, 3, 4], "prior": [1, 2, 3, 4]}
+D3 = {
+    "m": 5,
+    "constraints": [
+        {"name": "a", "values": [1, 0, 0, 1, 2], "target": 1},
+        {"name": "b", "values": [0, 1, 0, 1, 1], "target": 1},
+        {"name": "c", "values": [0, 0, 1, 2, 0], "target": 1},
+    ],
+    "prior": ["1/2", 1, 2, 1, 3],
+}
+D3_SAMPLES = {
+    "m": 5,
+    "constraints": [
+        {"name": "a", "values": [1, 0, 0, 1, 2]},
+        {"name": "b", "values": [0, 1, 0, 1, 1]},
+        {"name": "c", "values": [0, 0, 1, 2, 0]},
+    ],
+    "samples": [1, 2, 3, 4, 5, 5],
+    "prior": ["1/2", 1, 2, 1, 3],
+}
+GOLDEN_SYSTEMS = {
+    "system-d2": ("system", D2, {
+        ("text", "lex"): "3*t1^2*t2 - 2*t2^2\n-3*t1^2*t2 + 4*t1*t2^3 - 2*t1\n",
+        ("text", "grevlex"): "3*t1^2*t2 - 2*t2^2\n4*t1*t2^3 - 3*t1^2*t2 - 2*t1\n",
+        ("json", "lex"): '{"provenance": "direct", "variables": ["t1", "t2"], "equations": ["3*t1^2*t2 - 2*t2^2", "-3*t1^2*t2 + 4*t1*t2^3 - 2*t1"]}\n',
+        ("json", "grevlex"): '{"provenance": "direct", "variables": ["t1", "t2"], "equations": ["3*t1^2*t2 - 2*t2^2", "4*t1*t2^3 - 3*t1^2*t2 - 2*t1"]}\n',
+    }),
+    "dual-d2": ("dual", D2, {
+        ("text", "lex"): "objective: 2*t1 + t2^2 + 4*t2^-1 + 3*t1^-1*t2\ngradient: 2 - 3*t1^-2*t2\ngradient: 2*t2 - 4*t2^-2 + 3*t1^-1\ncleared: 2*t1^2 - 3*t2\ncleared: 2*t1*t2^3 - 4*t1 + 3*t2^2\n",
+        ("text", "grevlex"): "objective: t2^2 + 2*t1 + 3*t1^-1*t2 + 4*t2^-1\ngradient: 2 - 3*t1^-2*t2\ngradient: 2*t2 + 3*t1^-1 - 4*t2^-2\ncleared: 2*t1^2 - 3*t2\ncleared: 2*t1*t2^3 + 3*t2^2 - 4*t1\n",
+        ("json", "lex"): '{"provenance": "dual", "variables": ["t1", "t2"], "objective": "2*t1 + t2^2 + 4*t2^-1 + 3*t1^-1*t2", "gradient": ["2 - 3*t1^-2*t2", "2*t2 - 4*t2^-2 + 3*t1^-1"], "equations": ["2*t1^2 - 3*t2", "2*t1*t2^3 - 4*t1 + 3*t2^2"]}\n',
+        ("json", "grevlex"): '{"provenance": "dual", "variables": ["t1", "t2"], "objective": "t2^2 + 2*t1 + 3*t1^-1*t2 + 4*t2^-1", "gradient": ["2 - 3*t1^-2*t2", "2*t2 + 3*t1^-1 - 4*t2^-2"], "equations": ["2*t1^2 - 3*t2", "2*t1*t2^3 + 3*t2^2 - 4*t1"]}\n',
+    }),
+    "dual-d2-samples": ("dual", D2_SAMPLES, {
+        ("text", "lex"): "objective: 2*t1^4*t2^-2 + t1^-1*t2^8 + 4*t1^-1*t2^-7 + 3*t1^-6*t2^3\ngradient: 8*t1^3*t2^-2 - t1^-2*t2^8 - 4*t1^-2*t2^-7 - 18*t1^-7*t2^3\ngradient: -4*t1^4*t2^-3 + 8*t1^-1*t2^7 - 28*t1^-1*t2^-8 + 9*t1^-6*t2^2\ncleared: 8*t1^10*t2^5 - t1^5*t2^15 - 4*t1^5 - 18*t2^10\ncleared: -4*t1^10*t2^5 + 8*t1^5*t2^15 - 28*t1^5 + 9*t2^10\n",
+        ("text", "grevlex"): "objective: t1^-1*t2^8 + 2*t1^4*t2^-2 + 3*t1^-6*t2^3 + 4*t1^-1*t2^-7\ngradient: -t1^-2*t2^8 + 8*t1^3*t2^-2 - 18*t1^-7*t2^3 - 4*t1^-2*t2^-7\ngradient: 8*t1^-1*t2^7 - 4*t1^4*t2^-3 + 9*t1^-6*t2^2 - 28*t1^-1*t2^-8\ncleared: -t1^5*t2^15 + 8*t1^10*t2^5 - 18*t2^10 - 4*t1^5\ncleared: 8*t1^5*t2^15 - 4*t1^10*t2^5 + 9*t2^10 - 28*t1^5\n",
+        ("json", "lex"): '{"provenance": "dual-empirical", "variables": ["t1", "t2"], "objective": "2*t1^4*t2^-2 + t1^-1*t2^8 + 4*t1^-1*t2^-7 + 3*t1^-6*t2^3", "gradient": ["8*t1^3*t2^-2 - t1^-2*t2^8 - 4*t1^-2*t2^-7 - 18*t1^-7*t2^3", "-4*t1^4*t2^-3 + 8*t1^-1*t2^7 - 28*t1^-1*t2^-8 + 9*t1^-6*t2^2"], "equations": ["8*t1^10*t2^5 - t1^5*t2^15 - 4*t1^5 - 18*t2^10", "-4*t1^10*t2^5 + 8*t1^5*t2^15 - 28*t1^5 + 9*t2^10"]}\n',
+        ("json", "grevlex"): '{"provenance": "dual-empirical", "variables": ["t1", "t2"], "objective": "t1^-1*t2^8 + 2*t1^4*t2^-2 + 3*t1^-6*t2^3 + 4*t1^-1*t2^-7", "gradient": ["-t1^-2*t2^8 + 8*t1^3*t2^-2 - 18*t1^-7*t2^3 - 4*t1^-2*t2^-7", "8*t1^-1*t2^7 - 4*t1^4*t2^-3 + 9*t1^-6*t2^2 - 28*t1^-1*t2^-8"], "equations": ["-t1^5*t2^15 + 8*t1^10*t2^5 - 18*t2^10 - 4*t1^5", "8*t1^5*t2^15 - 4*t1^10*t2^5 + 9*t2^10 - 28*t1^5"]}\n',
+    }),
+    "system-d3": ("system", D3, {
+        ("text", "lex"): "3*t1^2*t2 - t2 - 2*t3\n-1/2*t1 - 2*t3\n-3*t1^2*t2 + t1*t2*t3^2 - 1/2*t1 - t2\n",
+        ("text", "grevlex"): "3*t1^2*t2 - t2 - 2*t3\n-1/2*t1 - 2*t3\nt1*t2*t3^2 - 3*t1^2*t2 - 1/2*t1 - t2\n",
+        ("json", "lex"): '{"provenance": "direct", "variables": ["t1", "t2", "t3"], "equations": ["3*t1^2*t2 - t2 - 2*t3", "-1/2*t1 - 2*t3", "-3*t1^2*t2 + t1*t2*t3^2 - 1/2*t1 - t2"]}\n',
+        ("json", "grevlex"): '{"provenance": "direct", "variables": ["t1", "t2", "t3"], "equations": ["3*t1^2*t2 - t2 - 2*t3", "-1/2*t1 - 2*t3", "t1*t2*t3^2 - 3*t1^2*t2 - 1/2*t1 - t2"]}\n',
+    }),
+    "dual-d3": ("dual", D3, {
+        ("text", "lex"): "objective: 2*t1*t2 + t1*t3 + 1/2*t2*t3 + t3^-1 + 3*t1^-1*t3\ngradient: 2*t2 + t3 - 3*t1^-2*t3\ngradient: 2*t1 + 1/2*t3\ngradient: t1 + 1/2*t2 - t3^-2 + 3*t1^-1\ncleared: 2*t1^2*t2 + t1^2*t3 - 3*t3\ncleared: 2*t1 + 1/2*t3\ncleared: t1^2*t3^2 + 1/2*t1*t2*t3^2 - t1 + 3*t3^2\n",
+        ("text", "grevlex"): "objective: 2*t1*t2 + t1*t3 + 1/2*t2*t3 + 3*t1^-1*t3 + t3^-1\ngradient: 2*t2 + t3 - 3*t1^-2*t3\ngradient: 2*t1 + 1/2*t3\ngradient: t1 + 1/2*t2 + 3*t1^-1 - t3^-2\ncleared: 2*t1^2*t2 + t1^2*t3 - 3*t3\ncleared: 2*t1 + 1/2*t3\ncleared: t1^2*t3^2 + 1/2*t1*t2*t3^2 + 3*t3^2 - t1\n",
+        ("json", "lex"): '{"provenance": "dual", "variables": ["t1", "t2", "t3"], "objective": "2*t1*t2 + t1*t3 + 1/2*t2*t3 + t3^-1 + 3*t1^-1*t3", "gradient": ["2*t2 + t3 - 3*t1^-2*t3", "2*t1 + 1/2*t3", "t1 + 1/2*t2 - t3^-2 + 3*t1^-1"], "equations": ["2*t1^2*t2 + t1^2*t3 - 3*t3", "2*t1 + 1/2*t3", "t1^2*t3^2 + 1/2*t1*t2*t3^2 - t1 + 3*t3^2"]}\n',
+        ("json", "grevlex"): '{"provenance": "dual", "variables": ["t1", "t2", "t3"], "objective": "2*t1*t2 + t1*t3 + 1/2*t2*t3 + 3*t1^-1*t3 + t3^-1", "gradient": ["2*t2 + t3 - 3*t1^-2*t3", "2*t1 + 1/2*t3", "t1 + 1/2*t2 + 3*t1^-1 - t3^-2"], "equations": ["2*t1^2*t2 + t1^2*t3 - 3*t3", "2*t1 + 1/2*t3", "t1^2*t3^2 + 1/2*t1*t2*t3^2 + 3*t3^2 - t1"]}\n',
+    }),
+    "dual-d3-samples": ("dual", D3_SAMPLES, {
+        ("text", "lex"): "objective: 2*t1^6*t2^4*t3^-3 + t1^6*t2^-2*t3^3 + 1/2*t2^4*t3^3 + t2^-2*t3^-9 + 3*t1^-6*t2^-2*t3^3\ngradient: 12*t1^5*t2^4*t3^-3 + 6*t1^5*t2^-2*t3^3 - 18*t1^-7*t2^-2*t3^3\ngradient: 8*t1^6*t2^3*t3^-3 - 2*t1^6*t2^-3*t3^3 + 2*t2^3*t3^3 - 2*t2^-3*t3^-9 - 6*t1^-6*t2^-3*t3^3\ngradient: -6*t1^6*t2^4*t3^-4 + 3*t1^6*t2^-2*t3^2 + 3/2*t2^4*t3^2 - 9*t2^-2*t3^-10 + 9*t1^-6*t2^-2*t3^2\ncleared: 12*t1^12*t2^6 + 6*t1^12*t3^6 - 18*t3^6\ncleared: 8*t1^12*t2^6*t3^6 - 2*t1^12*t3^12 + 2*t1^6*t2^6*t3^12 - 2*t1^6 - 6*t3^12\ncleared: -6*t1^12*t2^6*t3^6 + 3*t1^12*t3^12 + 3/2*t1^6*t2^6*t3^12 - 9*t1^6 + 9*t3^12\n",
+        ("text", "grevlex"): "objective: 2*t1^6*t2^4*t3^-3 + t1^6*t2^-2*t3^3 + 1/2*t2^4*t3^3 + 3*t1^-6*t2^-2*t3^3 + t2^-2*t3^-9\ngradient: 12*t1^5*t2^4*t3^-3 + 6*t1^5*t2^-2*t3^3 - 18*t1^-7*t2^-2*t3^3\ngradient: 8*t1^6*t2^3*t3^-3 - 2*t1^6*t2^-3*t3^3 + 2*t2^3*t3^3 - 6*t1^-6*t2^-3*t3^3 - 2*t2^-3*t3^-9\ngradient: -6*t1^6*t2^4*t3^-4 + 3*t1^6*t2^-2*t3^2 + 3/2*t2^4*t3^2 + 9*t1^-6*t2^-2*t3^2 - 9*t2^-2*t3^-10\ncleared: 12*t1^12*t2^6 + 6*t1^12*t3^6 - 18*t3^6\ncleared: 8*t1^12*t2^6*t3^6 - 2*t1^12*t3^12 + 2*t1^6*t2^6*t3^12 - 6*t3^12 - 2*t1^6\ncleared: -6*t1^12*t2^6*t3^6 + 3*t1^12*t3^12 + 3/2*t1^6*t2^6*t3^12 + 9*t3^12 - 9*t1^6\n",
+        ("json", "lex"): '{"provenance": "dual-empirical", "variables": ["t1", "t2", "t3"], "objective": "2*t1^6*t2^4*t3^-3 + t1^6*t2^-2*t3^3 + 1/2*t2^4*t3^3 + t2^-2*t3^-9 + 3*t1^-6*t2^-2*t3^3", "gradient": ["12*t1^5*t2^4*t3^-3 + 6*t1^5*t2^-2*t3^3 - 18*t1^-7*t2^-2*t3^3", "8*t1^6*t2^3*t3^-3 - 2*t1^6*t2^-3*t3^3 + 2*t2^3*t3^3 - 2*t2^-3*t3^-9 - 6*t1^-6*t2^-3*t3^3", "-6*t1^6*t2^4*t3^-4 + 3*t1^6*t2^-2*t3^2 + 3/2*t2^4*t3^2 - 9*t2^-2*t3^-10 + 9*t1^-6*t2^-2*t3^2"], "equations": ["12*t1^12*t2^6 + 6*t1^12*t3^6 - 18*t3^6", "8*t1^12*t2^6*t3^6 - 2*t1^12*t3^12 + 2*t1^6*t2^6*t3^12 - 2*t1^6 - 6*t3^12", "-6*t1^12*t2^6*t3^6 + 3*t1^12*t3^12 + 3/2*t1^6*t2^6*t3^12 - 9*t1^6 + 9*t3^12"]}\n',
+        ("json", "grevlex"): '{"provenance": "dual-empirical", "variables": ["t1", "t2", "t3"], "objective": "2*t1^6*t2^4*t3^-3 + t1^6*t2^-2*t3^3 + 1/2*t2^4*t3^3 + 3*t1^-6*t2^-2*t3^3 + t2^-2*t3^-9", "gradient": ["12*t1^5*t2^4*t3^-3 + 6*t1^5*t2^-2*t3^3 - 18*t1^-7*t2^-2*t3^3", "8*t1^6*t2^3*t3^-3 - 2*t1^6*t2^-3*t3^3 + 2*t2^3*t3^3 - 6*t1^-6*t2^-3*t3^3 - 2*t2^-3*t3^-9", "-6*t1^6*t2^4*t3^-4 + 3*t1^6*t2^-2*t3^2 + 3/2*t2^4*t3^2 + 9*t1^-6*t2^-2*t3^2 - 9*t2^-2*t3^-10"], "equations": ["12*t1^12*t2^6 + 6*t1^12*t3^6 - 18*t3^6", "8*t1^12*t2^6*t3^6 - 2*t1^12*t3^12 + 2*t1^6*t2^6*t3^12 - 6*t3^12 - 2*t1^6", "-6*t1^12*t2^6*t3^6 + 3*t1^12*t3^12 + 3/2*t1^6*t2^6*t3^12 + 9*t3^12 - 9*t1^6"]}\n',
+    }),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_SYSTEMS))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_system_and_dual_output_is_pinned(write_json, case, fmt, order):
+    command, doc, expected = GOLDEN_SYSTEMS[case]
+    flags = ["--order", "lex"] if order == "lex" else []
+    code, out, err = run([command, write_json(doc), "--format", fmt, *flags])
+    assert (code, err) == (0, "")
+    assert out == expected[fmt, order]
+
+
 # --- ideal command ---
 
 
@@ -683,6 +758,15 @@ def test_check_numbers_beyond_float_range_exit_two(tmp_path, doc, message):
     dist.write_text("[0.25, 0.5, 0.25]")
     code, out, err = run(["check", _write_text(tmp_path, doc), "--dist", str(dist)])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["check", "entropy"])
+@pytest.mark.parametrize("entry", ["1e400", "1" + "0" * 400], ids=["decimal", "integer"])
+def test_distribution_entry_beyond_float_range_exits_two(tmp_path, command, entry):
+    dist = tmp_path / "p.json"
+    dist.write_text(f"[{entry}, 0, 0]")
+    code, out, err = run([command, _write_text(tmp_path, QUAD), "--dist", str(dist)])
+    assert (code, out, err) == (2, "", "error: distribution file: p[0] is too large for a float\n")
 
 
 def test_emitted_polynomials_reparse_equal(write_json):

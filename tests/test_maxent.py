@@ -28,7 +28,7 @@ from toricmaxent.maxent import (
     shannon_entropy,
     solve_algebraic,
 )
-from toricmaxent.ratpoly import GREVLEX, LEX, Polynomial, parse_poly, poly_to_text
+from toricmaxent.ratpoly import Polynomial, parse_poly, poly_to_text
 from toricmaxent.toric import ConstraintMatrix, toric_param
 
 DICE = ConstraintMatrix([[1, 2, 3, 4, 5, 6]])
@@ -163,11 +163,6 @@ def test_direct_system_with_prior_weights():
     assert eq == t1("2/3*t1 - 2/3")
 
 
-def test_direct_system_custom_names():
-    system = direct_system(QUAD, [Fraction(1)], theta_names=["a"])
-    assert system.equations[0].vars == ("a",)
-
-
 def test_dual_system_integer_targets():
     system = dual_system(ConstraintMatrix([[0, 1, 2, 3]]), [Fraction(2)])
     assert poly_to_text(system.objective) == "t1^2 + t1 + 1 + t1^-1"
@@ -269,10 +264,13 @@ def test_solve_degree_limit():
         solve_algebraic(system)
 
 
-def test_solve_requires_lex_order():
-    system = PolySystem(equations=(t1("t1^2 - 1"),), provenance="direct")
-    with pytest.raises(UnsupportedStructureError):
-        solve_algebraic(system, order=GREVLEX)
+def test_solve_drops_roots_whose_back_substituted_value_is_not_positive():
+    vars = ("t1", "t2")
+    # t2 in {1, 2} gives t1 = t2 - 3/2 in {-1/2, 1/2}: only t2 = 2 survives
+    eqs = (parse_poly("t1 - t2 + 3/2", vars), parse_poly("t2^2 - 3*t2 + 2", vars))
+    assert solve_algebraic(PolySystem(equations=eqs, provenance="direct")) == [(Fraction(1, 2), Fraction(2))]
+    eqs = (parse_poly("t1 + t2 - 1", vars), parse_poly("t2 - 2", vars))
+    assert solve_algebraic(PolySystem(equations=eqs, provenance="direct")) == []
 
 
 def test_solve_rejects_nonlinear_back_substitution():

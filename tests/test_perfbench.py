@@ -1,7 +1,8 @@
-"""The benchmark's tracer finds every module attribute it wraps and puts each back; its oracle accepts numeric fits."""
+"""The benchmark's tracer finds every module attribute it wraps and puts each back; its oracle accepts numeric fits; its selftest passes."""
 
 import importlib.util
 import io
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +67,12 @@ def test_numeric_fit_requests_pass_the_benchmark_oracle(monkeypatch, tmp_path):
         out, err = io.StringIO(), io.StringIO()
         rc = cli.main(argv, out, err)
         assert oracle.verdict(req, rc, out.getvalue()) is None, (req.rid, err.getvalue())
+
+
+def test_benchmark_selftest_passes():
+    # the selftest traces every workload on a tiny corpus, so a renamed traced
+    # attribute or a layer that stops being exercised fails here too
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
