@@ -441,15 +441,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once at import and shared by every call: parsing keeps no state in
+# the parser, each call gets a fresh namespace.
+_PARSER = _build_parser()
+
+
 def main(argv=None, out=None, err=None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    Reentrant: calls share one parser built at import, and argparse's usage,
+    errors and ``--help`` go to the ``out`` and ``err`` of the call.
+    """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
         # argparse writes usage, errors and --help to the process streams
         with redirect_stdout(out), redirect_stderr(err):
-            args = parser.parse_args(argv)
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     if not 0 < args.tol < math.inf:

@@ -4,7 +4,9 @@ Numeric fitting runs in floating point: generalized iterative scaling and a
 damped Newton iteration on the dual.  The algebraic path builds exact
 polynomial systems whose positive roots are the fitted parameters after the
 exponential change of variables, and solves them with the in-package
-Groebner engine plus exact univariate root isolation.
+Groebner engine plus exact univariate root isolation, which runs in integer
+arithmetic (Sturm chains with integer coefficients, bisection on integers
+over a common denominator).
 """
 
 from __future__ import annotations
@@ -502,150 +504,201 @@ def fit_algebraic(problem: MaxEntProblem) -> FitResult:
 
 
 # ---------------------------------------------------------------------------
-# exact univariate real-root isolation (Sturm chains + rational bisection)
+# exact univariate real-root isolation in integer arithmetic (Sturm chains +
+# bisection).  Polynomials are lists of ints, coefficients low to high.  Each
+# one is a positive multiple of its rational counterpart, which keeps every
+# sign the isolation tests, and a point is an integer over a positive
+# denominator.
 
 
-def _upoly_trim(c: list[Fraction]) -> list[Fraction]:
+def _upoly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _upoly_eval(c: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for coeff in reversed(c):
-        acc = acc * x + coeff
-    return acc
-
-
-def _upoly_derivative(c: Sequence[Fraction]) -> list[Fraction]:
+def _upoly_derivative(c: Sequence[int]) -> list[int]:
     return [i * c[i] for i in range(1, len(c))]
 
 
-def _upoly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of ``a`` by a nonzero ``b``, coefficients low to high."""
+def _primitive(c: list[int]) -> list[int]:
+    """A nonzero ``c`` divided by the gcd of its coefficients, a positive factor."""
+    g = math.gcd(*c)
+    return [v // g for v in c] if g > 1 else c
+
+
+def _upoly_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Remainder of ``a`` by a nonzero ``b``, times a power of ``|lead(b)|``."""
     r = _upoly_trim(list(a))
     db, lead = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(r) - db, 0)
-    while r and len(r) - 1 >= db:
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    while len(r) - 1 >= db:
         shift = len(r) - 1 - db
-        factor = r[-1] / lead
-        q[shift] = factor
+        factor = sign * r[-1]
+        r = [scale * v for v in r]
         for i in range(db + 1):
             r[shift + i] -= factor * b[i]
         r.pop()  # the top coefficient cancels exactly
         _upoly_trim(r)
-    return _upoly_trim(q), r
+    return r
 
 
-def _upoly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = _upoly_trim(list(a)), _upoly_trim(list(b))
+def _upoly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive gcd with a positive leading coefficient, by primitive remainders."""
+    a, b = _primitive(list(a)), _upoly_trim(list(b))
     while b:
-        a, b = b, _upoly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [v / lead for v in a]
-    return a
+        b = _primitive(b)
+        a, b = b, _upoly_prem(a, b)
+    return a if a[-1] > 0 else [-v for v in a]
 
 
-def _sturm_chain(c: Sequence[Fraction]) -> list[list[Fraction]]:
-    chain = [_upoly_trim(list(c)), _upoly_trim(_upoly_derivative(c))]
-    while chain[-1]:
-        nxt = [-v for v in _upoly_divmod(chain[-2], chain[-1])[1]]
-        chain.append(_upoly_trim(nxt))
-    chain.pop()
-    return chain
+def _upoly_exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """``a / b`` for a primitive ``b`` that divides ``a``; the quotient has integer coefficients."""
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    q = [0] * (len(r) - db)
+    for shift in reversed(range(len(q))):
+        factor = q[shift] = r[shift + db] // lead
+        for i in range(db + 1):
+            r[shift + i] -= factor * b[i]
+    return q
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
+def _sturm_chain(c: list[int]) -> list[list[int]]:
+    """``c``, ``c'``, then the negated remainders, each made primitive."""
+    chain = [c, _primitive(_upoly_derivative(c))]
+    while True:
+        r = _upoly_prem(chain[-2], chain[-1])
+        if not r:
+            return chain
+        chain.append(_primitive([-v for v in r]))
+
+
+def _powers(den: int, n: int) -> list[int]:
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * den)
+    return powers
+
+
+def _sign_at(c: Sequence[int], a: int, powers: Sequence[int]) -> int:
+    """Sign of ``c(a / D)`` where ``powers[k] = D^k`` and ``D > 0``.
+
+    Homogeneous Horner gives ``sum c_i a^i D^(n-i)``, which is ``c(a / D)``
+    times ``D^n > 0``.
+    """
+    n = len(c) - 1
+    acc = c[n]
+    for i in range(n - 1, -1, -1):
+        acc = acc * a + c[i] * powers[n - i]
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_changes(chain: list[list[int]], a: int, den: int) -> int:
+    """Sign changes of the chain at ``a / den``, zeros skipped."""
+    powers = _powers(den, len(chain[0]) - 1)
+    changes = last = 0
     for poly in chain:
-        v = _upoly_eval(poly, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        sign = _sign_at(poly, a, powers)
+        if sign:
+            changes += last == -sign
+            last = sign
+    return changes
 
 
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with smallest denominator in ``[lo, hi]``, for 0 < lo <= hi."""
-    whole = lo.numerator // lo.denominator
-    if whole == lo:
-        return lo
-    if whole + 1 <= hi:
-        return Fraction(whole + 1)
-    tail = _simplest_between(1 / (hi - whole), 1 / (lo - whole))
-    return whole + 1 / tail
+def _simplest_between(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """Numerator and denominator of the rational with smallest denominator in
+    ``[a / b, c / d]``, for ``0 < a / b <= c / d`` and positive ``b``, ``d``.
+
+    Continued fractions: take the integer part ``w`` of the lower end; when
+    it is exact or ``w + 1`` fits, stop, else recurse on the reciprocals of
+    the fractional parts, ``[d / (c - w d), b / (a - w b)]``.
+    """
+    terms = []
+    while True:
+        whole, rest = divmod(a, b)
+        if rest == 0:
+            num, den = whole, 1
+            break
+        if (whole + 1) * d <= c:
+            num, den = whole + 1, 1
+            break
+        terms.append(whole)
+        a, b, c, d = d, c - whole * d, b, rest
+    for whole in reversed(terms):
+        num, den = whole * num + den, num
+    return num, den
 
 
 def _positive_real_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """All positive real roots, as exact rationals within ``ROOT_WIDTH`` of the truth.
 
-    Rational roots of moderate denominator are recovered exactly: once an
-    isolating interval has shrunk below ``ROOT_WIDTH``, the smallest-denominator
-    rational inside it is tested and returned when it is a genuine root.
+    Isolation runs in integer arithmetic: the square-free part and its Sturm
+    chain have integer coefficients, and the endpoints of each interval are
+    integers over a common denominator.  A ``Fraction`` is made only for a
+    returned root.  Rational roots of moderate denominator are recovered
+    exactly: once an isolating interval has shrunk below ``ROOT_WIDTH``, the
+    smallest-denominator rational inside it is tested and returned when it
+    is a genuine root.
     """
-    c = _upoly_trim([Fraction(v) for v in coeffs])
+    rational = [Fraction(v) for v in coeffs]
+    den = math.lcm(*(v.denominator for v in rational))
+    c = _upoly_trim([v.numerator * (den // v.denominator) for v in rational])
     if not c:
         raise ValueError("zero polynomial has every point as a root")
     while c[0] == 0:  # roots at zero are not positive; strip them
         c.pop(0)
     if len(c) == 1:
         return []
-    square_free = c
+    c = _primitive(c)
     gcd = _upoly_gcd(c, _upoly_derivative(c))
-    if len(gcd) > 1:
-        square_free = _upoly_divmod(c, gcd)[0]
-
-    bound = Fraction(1) + max(abs(v) for v in square_free[:-1]) / abs(square_free[-1])
-    hi = bound + 1
-    while _upoly_eval(square_free, hi) == 0:
-        hi += 1
+    square_free = _primitive(_upoly_exact_quotient(c, gcd)) if len(gcd) > 1 else c
+    n = len(square_free) - 1
     chain = _sturm_chain(square_free)
 
-    def count(lo: Fraction, hi: Fraction) -> int:
-        return _sign_changes(chain, lo) - _sign_changes(chain, hi)
-
-    def split_point(lo: Fraction, hi: Fraction) -> Fraction:
-        mid = (lo + hi) / 2
-        step = (hi - lo) / 4
-        while _upoly_eval(square_free, mid) == 0:
-            mid += step
-            step /= 2
-        return mid
-
-    isolated: list[tuple[Fraction, Fraction]] = []
-    stack = [(Fraction(0), hi, count(Fraction(0), hi))]
+    # every root lies below Cauchy's bound 1 + max|c_i| / |c_n|; start one above it
+    lead = abs(square_free[-1])
+    top = 2 * lead + max(map(abs, square_free[:-1]))
+    isolated: list[tuple[int, int, int]] = []
+    # (lo, hi, den, sign changes at lo, sign changes at hi) for [lo / den, hi / den]
+    stack = [(0, top, lead, _sign_changes(chain, 0, lead), _sign_changes(chain, top, lead))]
     while stack:
-        lo, hi_, k = stack.pop()
+        lo, hi, den, v_lo, v_hi = stack.pop()
+        k = v_lo - v_hi
         if k == 0:
             continue
         if k == 1:
-            isolated.append((lo, hi_))
+            isolated.append((lo, hi, den))
             continue
-        mid = split_point(lo, hi_)
-        left = count(lo, mid)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi_, k - left))
+        # split at the midpoint, moved toward hi by a shrinking step
+        # (hi - lo) / 4, / 8, ... while it hits a root
+        mid, mid_den, step = lo + hi, 2 * den, hi - lo
+        while _sign_at(square_free, mid, _powers(mid_den, n)) == 0:
+            mid, mid_den = 2 * mid + step, 2 * mid_den
+        scale = mid_den // den
+        v_mid = _sign_changes(chain, mid, mid_den)
+        stack.append((lo * scale, mid, mid_den, v_lo, v_mid))
+        stack.append((mid, hi * scale, mid_den, v_mid, v_hi))
 
     roots = []
-    for lo, hi_ in isolated:
-        lo_sign = 1 if _upoly_eval(square_free, lo) > 0 else -1
+    for lo, hi, den in isolated:
+        lo_sign = 1 if _sign_at(square_free, lo, _powers(den, n)) > 0 else -1
         exact = None
-        while hi_ - lo > ROOT_WIDTH:
-            mid = (lo + hi_) / 2
-            value = _upoly_eval(square_free, mid)
-            if value == 0:
-                exact = mid
+        while (hi - lo) * ROOT_WIDTH.denominator > ROOT_WIDTH.numerator * den:
+            lo, mid, hi, den = 2 * lo, lo + hi, 2 * hi, 2 * den
+            sign = _sign_at(square_free, mid, _powers(den, n))
+            if sign == 0:
+                exact = Fraction(mid, den)
                 break
-            if (1 if value > 0 else -1) == lo_sign:
+            if sign == lo_sign:
                 lo = mid
             else:
-                hi_ = mid
+                hi = mid
         if exact is None and lo > 0:
-            candidate = _simplest_between(lo, hi_)
-            if _upoly_eval(square_free, candidate) == 0:
-                exact = candidate
-        roots.append(exact if exact is not None else (lo + hi_) / 2)
+            num, num_den = _simplest_between(lo, den, hi, den)
+            if _sign_at(square_free, num, _powers(num_den, n)) == 0:
+                exact = Fraction(num, num_den)
+        roots.append(exact if exact is not None else Fraction(lo + hi, 2 * den))
     roots.sort()
     return roots
 
@@ -656,8 +709,9 @@ def solve_algebraic(system: PolySystem) -> list[tuple[Fraction, ...]]:
     Computes the lex Groebner basis with ``t1`` most significant, requires a
     triangular result (a univariate eliminant in the last variable, every
     other variable entering linearly), isolates the eliminant's positive
-    roots by Sturm bisection in exact rational arithmetic to width 1e-12, and
-    back-substitutes.  Roots hit exactly stay exact rationals.
+    roots to width 1e-12 by Sturm bisection in integer arithmetic, and
+    back-substitutes in exact rationals.  Roots hit exactly stay exact
+    rationals.
 
     Raises :class:`UnsupportedStructureError` when the basis is not triangular
     (callers fall back to numeric fitting) and :class:`SizeLimitError` beyond

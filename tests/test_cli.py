@@ -1,5 +1,6 @@
 """Command-line front end: parsing, commands, exit codes, output formats."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -592,6 +593,31 @@ def test_argparse_messages_go_to_the_streams_main_was_given(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_main_is_reentrant_and_builds_no_parser(write_json, monkeypatch, capsys):
+    def no_new_parser(self, *args, **kwargs):
+        raise AssertionError("an argparse parser was built after import")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_new_parser)
+    path = write_json(DICE)
+    sequence = [
+        ["--help"],
+        ["fit", path, "--no-such-flag"],
+        ["fit", path, "--max-iter", "1"],
+        ["fit", path],
+        ["check", path],
+    ]
+    first = [run(argv) for argv in sequence]
+    assert [run(argv) for argv in sequence] == first
+    (help_rc, help_out, help_err), unknown, capped, uncapped, no_dist = first
+    assert (help_rc, help_err) == (0, "") and help_out.startswith("usage: toricmaxent")
+    assert unknown[:2] == (2, "") and "unrecognized arguments: --no-such-flag" in unknown[2]
+    assert capped == (1, "", "error: Newton iteration did not converge in 1 iterations\n")
+    # the previous call's --max-iter does not carry over
+    assert (uncapped[0], uncapped[2]) == (0, "") and "\niterations: 4\n" in uncapped[1]
+    assert no_dist[:2] == (2, "") and "the following arguments are required: --dist" in no_dist[2]
+    assert capsys.readouterr() == ("", "")
+
+
 # --- determinism and grammar round trips ---
 
 
@@ -646,6 +672,51 @@ def test_fit_json_output_is_pinned(write_json, case):
     code, out, err = run(["fit", write_json(doc), "--solver", solver, "--format", "json"])
     assert (code, err) == (0, "")
     assert out == expected
+
+
+# `fit --solver groebner` stdout pinned in both formats, so that a change to
+# root isolation cannot move an exact result unnoticed.  The die's root is
+# irrational (the bisection midpoint is returned); the quad's is exactly 2.
+GOLDEN_EXACT_FITS = {
+    "die": (
+        {"m": 6, "constraints": [{"name": "mean", "values": [1, 2, 3, 4, 5, 6], "target": "9/2"}]},
+        '{"solver": "groebner", "iterations": 0, "xi": [-0.37104893808111261], "p": [0.054353167826476437, 0.078771545633037912, 0.11415997722942697, 0.16544680311004678, 0.23977444042690949, 0.34749406577410241], "logZ": 3.2833013195188361, "residual": 1.8207657603852567e-13}\n',
+        "solver: groebner\niterations: 0\nxi: -0.37104893808111261\np: 0.054353167826476437 0.078771545633037912 0.11415997722942697 0.16544680311004678 0.23977444042690949 0.34749406577410241\nlogZ: 3.2833013195188361\nresidual: 1.8207657603852567e-13\n",
+    ),
+    "quad": (
+        {"m": 3, "constraints": [{"name": "t", "values": [0, 1, 2], "target": "10/7"}]},
+        '{"solver": "groebner", "iterations": 0, "xi": [-0.69314718055994529], "p": [0.14285714285714285, 0.2857142857142857, 0.5714285714285714], "logZ": 1.9459101490553132, "residual": 2.2204460492503131e-16}\n',
+        "solver: groebner\niterations: 0\nxi: -0.69314718055994529\np: 0.14285714285714285 0.2857142857142857 0.5714285714285714\nlogZ: 1.9459101490553132\nresidual: 2.2204460492503131e-16\n",
+    ),
+    "kite": (
+        {"m": 4, "constraints": [{"name": "a", "values": [0, 1, 2, 1], "target": "9/7"}, {"name": "b", "values": [0, 0, 1, 2], "target": "5/7"}]},
+        '{"solver": "groebner", "iterations": 0, "xi": [-0.73128279016013931, 0.34925344504337463], "p": [0.13975286404817913, 0.2903707039273673, 0.42546714976294181, 0.1444092822615117], "logZ": 1.9678796730733579, "residual": 4.7672976677404222e-13}\n',
+        "solver: groebner\niterations: 0\nxi: -0.73128279016013931 0.34925344504337463\np: 0.13975286404817913 0.2903707039273673 0.42546714976294181 0.1444092822615117\nlogZ: 1.9678796730733579\nresidual: 4.7672976677404222e-13\n",
+    ),
+    "cube": (
+        {"m": 5, "constraints": [{"name": "a", "values": [0, 1, 0, 0, 1], "target": "4/9"}, {"name": "b", "values": [0, 0, 1, 0, 1], "target": "5/9"}, {"name": "c", "values": [0, 0, 0, 1, 1], "target": "1/3"}]},
+        '{"solver": "groebner", "iterations": 0, "xi": [-0.27571588867290803, -0.71513511557912846, 0.52681256830883072], "p": [0.15283731923315394, 0.20135911816124033, 0.31247022927236728, 0.090248007050113391, 0.24308532628312507], "logZ": 1.8783811962513588, "residual": 9.4868557454219626e-14}\n',
+        "solver: groebner\niterations: 0\nxi: -0.27571588867290803 -0.71513511557912846 0.52681256830883072\np: 0.15283731923315394 0.20135911816124033 0.31247022927236728 0.090248007050113391 0.24308532628312507\nlogZ: 1.8783811962513588\nresidual: 9.4868557454219626e-14\n",
+    ),
+    "stair": (
+        {"m": 6, "constraints": [{"name": "a", "values": [0, 1, 2, 3, 4, 4], "target": "31/12"}, {"name": "b", "values": [0, 1, 1, 2, 2, 4], "target": "23/12"}]},
+        '{"solver": "groebner", "iterations": 0, "xi": [-0.004592757526921243, -0.1475438424226381], "p": [0.12655368128407535, 0.14734889000129603, 0.14802718415292318, 0.17235090321861146, 0.17314428964778519, 0.23257505169530884], "logZ": 2.0670887028520637, "residual": 2.0192736371882347e-12}\n',
+        "solver: groebner\niterations: 0\nxi: -0.004592757526921243 -0.1475438424226381\np: 0.12655368128407535 0.14734889000129603 0.14802718415292318 0.17235090321861146 0.17314428964778519 0.23257505169530884\nlogZ: 2.0670887028520637\nresidual: 2.0192736371882347e-12\n",
+    ),
+    "samples": (
+        {"m": 5, "constraints": [{"name": "a", "values": [0, 1, 0, 2, 1]}, {"name": "b", "values": [0, 0, 1, 0, 1]}], "samples": [1, 2, 3, 4, 5, 2, 4], "prior": [1, 2, "1/2", 3, 1]},
+        '{"solver": "groebner", "iterations": 0, "xi": [0.29355729609462555, -0.28936140808998612], "xi_empirical": [0.041936756584946507, -0.041337344012855159], "p": [0.17174457456473344, 0.25610774271678827, 0.11468882243958796, 0.28643339700419268, 0.17102546327469775], "logZ": 1.7617469375213712, "residual": 1.2856382625159313e-13}\n',
+        "solver: groebner\niterations: 0\nxi: 0.29355729609462555 -0.28936140808998612\nxi_empirical: 0.041936756584946507 -0.041337344012855159\np: 0.17174457456473344 0.25610774271678827 0.11468882243958796 0.28643339700419268 0.17102546327469775\nlogZ: 1.7617469375213712\nresidual: 1.2856382625159313e-13\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_EXACT_FITS))
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_exact_fit_output_is_pinned(write_json, case, fmt):
+    doc, json_out, text_out = GOLDEN_EXACT_FITS[case]
+    result = run(["fit", write_json(doc), "--solver", "groebner", "--format", fmt])
+    assert result == (0, json_out if fmt == "json" else text_out, "")
 
 
 def _large_problem(seed: int, m: int, d: int, mode: str) -> dict:

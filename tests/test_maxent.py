@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricmaxent.errors import (
     InfeasibleMomentsError,
@@ -472,3 +474,246 @@ def test_fit_algebraic_matches_numeric():
 def test_fit_algebraic_infeasible():
     with pytest.raises(InfeasibleMomentsError):
         fit_algebraic(MaxEntProblem.from_targets(QUAD, [Fraction(3)]))
+
+
+# --- root isolation against the rational-arithmetic reference ---
+#
+# The reference below is the Fraction implementation that integer root
+# isolation replaced: Euclid over Q, Sturm chain of remainders, bisection
+# on Fraction endpoints.  Scaling every polynomial by a positive factor
+# keeps every sign it tests, so both must return the same roots exactly.
+
+
+def _ref_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _ref_eval(c, x):
+    acc = Fraction(0)
+    for coeff in reversed(c):
+        acc = acc * x + coeff
+    return acc
+
+
+def _ref_derivative(c):
+    return [i * c[i] for i in range(1, len(c))]
+
+
+def _ref_divmod(a, b):
+    r = _ref_trim(list(a))
+    db, lead = len(b) - 1, b[-1]
+    q = [Fraction(0)] * max(len(r) - db, 0)
+    while r and len(r) - 1 >= db:
+        shift = len(r) - 1 - db
+        factor = r[-1] / lead
+        q[shift] = factor
+        for i in range(db + 1):
+            r[shift + i] -= factor * b[i]
+        r.pop()
+        _ref_trim(r)
+    return _ref_trim(q), r
+
+
+def _ref_gcd(a, b):
+    a, b = _ref_trim(list(a)), _ref_trim(list(b))
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    if a:
+        lead = a[-1]
+        a = [v / lead for v in a]
+    return a
+
+
+def _ref_sturm_chain(c):
+    chain = [_ref_trim(list(c)), _ref_trim(_ref_derivative(c))]
+    while chain[-1]:
+        chain.append(_ref_trim([-v for v in _ref_divmod(chain[-2], chain[-1])[1]]))
+    chain.pop()
+    return chain
+
+
+def _ref_sign_changes(chain, x):
+    signs = []
+    for poly in chain:
+        v = _ref_eval(poly, x)
+        if v:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_simplest_between(lo, hi):
+    whole = lo.numerator // lo.denominator
+    if whole == lo:
+        return lo
+    if whole + 1 <= hi:
+        return Fraction(whole + 1)
+    tail = _ref_simplest_between(1 / (hi - whole), 1 / (lo - whole))
+    return whole + 1 / tail
+
+
+def reference_positive_real_roots(coeffs):
+    width = Fraction(1, 10**12)
+    c = _ref_trim([Fraction(v) for v in coeffs])
+    if not c:
+        raise ValueError("zero polynomial has every point as a root")
+    while c[0] == 0:
+        c.pop(0)
+    if len(c) == 1:
+        return []
+    square_free = c
+    gcd = _ref_gcd(c, _ref_derivative(c))
+    if len(gcd) > 1:
+        square_free = _ref_divmod(c, gcd)[0]
+
+    bound = Fraction(1) + max(abs(v) for v in square_free[:-1]) / abs(square_free[-1])
+    hi = bound + 1
+    while _ref_eval(square_free, hi) == 0:
+        hi += 1
+    chain = _ref_sturm_chain(square_free)
+
+    def count(lo, hi):
+        return _ref_sign_changes(chain, lo) - _ref_sign_changes(chain, hi)
+
+    def split_point(lo, hi):
+        mid = (lo + hi) / 2
+        step = (hi - lo) / 4
+        while _ref_eval(square_free, mid) == 0:
+            mid += step
+            step /= 2
+        return mid
+
+    isolated = []
+    stack = [(Fraction(0), hi, count(Fraction(0), hi))]
+    while stack:
+        lo, hi_, k = stack.pop()
+        if k == 0:
+            continue
+        if k == 1:
+            isolated.append((lo, hi_))
+            continue
+        mid = split_point(lo, hi_)
+        left = count(lo, mid)
+        stack.append((lo, mid, left))
+        stack.append((mid, hi_, k - left))
+
+    roots = []
+    for lo, hi_ in isolated:
+        lo_sign = 1 if _ref_eval(square_free, lo) > 0 else -1
+        exact = None
+        while hi_ - lo > width:
+            mid = (lo + hi_) / 2
+            value = _ref_eval(square_free, mid)
+            if value == 0:
+                exact = mid
+                break
+            if (1 if value > 0 else -1) == lo_sign:
+                lo = mid
+            else:
+                hi_ = mid
+        if exact is None and lo > 0:
+            candidate = _ref_simplest_between(lo, hi_)
+            if _ref_eval(square_free, candidate) == 0:
+                exact = candidate
+        roots.append(exact if exact is not None else (lo + hi_) / 2)
+    roots.sort()
+    return roots
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _product(factors, scale):
+    """``scale`` times the product of the polynomials (coefficients low to high)."""
+    poly = [scale]
+    for factor in factors:
+        poly = _times(poly, factor)
+    return poly
+
+
+NONZERO = st.integers(-40, 40).filter(bool)
+# (q*x - p) with repeats, a root at 0 when p is 0
+LINEAR = st.tuples(st.integers(-30, 30), st.integers(1, 30), st.integers(1, 3)).map(
+    lambda f: [[-f[0], f[1]]] * f[2]
+)
+# x^2 - n for a non-square n (irrational roots), or a quadratic with no real root
+IRREDUCIBLE_QUADRATIC = st.integers(1, 500).filter(lambda n: math.isqrt(n) ** 2 != n).flatmap(
+    lambda n: st.sampled_from([[-n, 0, 1], [n, 0, 1], [n, -2 * n, n + 1]])
+)
+
+
+@st.composite
+def products_with_repeats(draw):
+    factors = [f for group in draw(st.lists(LINEAR, min_size=1, max_size=4)) for f in group]
+    factors += draw(st.lists(IRREDUCIBLE_QUADRATIC, max_size=2))
+    scale = Fraction(draw(NONZERO), draw(st.integers(1, 9)))
+    return [scale * v for v in _product(factors, 1)]
+
+
+@st.composite
+def close_roots(draw):
+    """Two roots closer than 1e-9: ``p/q`` and ``p/(q+1)``, or ``(p +- sqrt 2)/q``."""
+    p = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        q = draw(st.integers(10**6, 10**7))
+        return _product([[-p, q], [-p, q + 1]], draw(NONZERO))
+    q = draw(st.integers(3 * 10**9, 10**10))
+    return _product([[p * p - 2, -2 * p * q, q * q]], draw(NONZERO))
+
+
+@st.composite
+def big_coefficients(draw):
+    """Dense polynomials with coefficients up to 2^64 in size and zeros at the bottom."""
+    body = draw(st.lists(st.integers(-(2**64), 2**64), min_size=2, max_size=7))
+    body[-1] = body[-1] or 1
+    return [0] * draw(st.integers(0, 2)) + body
+
+
+ROOT_POLYNOMIALS = st.one_of(products_with_repeats(), close_roots(), big_coefficients())
+
+
+@settings(max_examples=150, deadline=None)
+@given(ROOT_POLYNOMIALS)
+def test_integer_root_isolation_matches_the_rational_reference(coeffs):
+    from toricmaxent.maxent import _positive_real_roots
+
+    assert _positive_real_roots(coeffs) == reference_positive_real_roots(coeffs)
+
+
+def test_root_isolation_reference_cases():
+    from toricmaxent.maxent import _positive_real_roots
+
+    cases = [
+        [-2, 0, 1],  # sqrt 2
+        [1, -2, 1],  # (x - 1)^2
+        [-3, 7, -5, 1],  # (x - 1)^2 (x - 3): the first midpoint, 3, is a root
+        [0, 0, -6, 1, 1],  # x^2 (x - 2)(x + 3)
+        [-1, 10**6 + 10**6 + 1, -(10**6) * (10**6 + 1)],  # 1/10^6 and 1/(10^6 + 1)
+        [2**64, -(2**64) - 1, 1],  # 1 and 2^64
+        [Fraction(-1, 3), Fraction(0), Fraction(-5, 7)],  # no real root
+        # a degree-18 eliminant from a d=3 fit with no positive root: the
+        # square-free gcd takes milliseconds only when every divisor in its
+        # remainder sequence is made primitive, and about 20 s otherwise
+        [81, 0, -1431, 648, 25029, 14580, -88695, -793773, 540837, 1201014, -4749219, 6920676,
+         28260261, 30569782, 62851641, 172867041, 43547544, 306110016, 816293376],
+    ]
+    for coeffs in cases:
+        assert _positive_real_roots(coeffs) == reference_positive_real_roots(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ROOT_POLYNOMIALS)
+def test_positive_root_count_matches_sympy(coeffs):
+    sympy = pytest.importorskip("sympy")
+    from toricmaxent.maxent import _positive_real_roots
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(str(Fraction(v))) for v in reversed(coeffs)], x)
+    at_zero = 1 if poly.eval(0) == 0 else 0
+    assert len(_positive_real_roots(coeffs)) == poly.count_roots(0) - at_zero
