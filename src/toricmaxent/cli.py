@@ -287,8 +287,7 @@ def _fit_payload(result) -> dict:
     return payload
 
 
-def _cmd_fit(args, out, err) -> int:
-    parsed = parse_problem(_read_text(args.problem))
+def _cmd_fit(args, parsed, out, err) -> int:
     problem = parsed.to_problem()
     if args.solver == "groebner":
         try:
@@ -302,8 +301,7 @@ def _cmd_fit(args, out, err) -> int:
     return EXIT_OK
 
 
-def _cmd_system(args, out, err) -> int:
-    parsed = parse_problem(_read_text(args.problem))
+def _cmd_system(args, parsed, out, err) -> int:
     problem = parsed.to_problem()
     system = direct_system(problem.matrix, problem.target_values(), problem.prior)
     order = _text_order(args)
@@ -320,8 +318,7 @@ def _cmd_system(args, out, err) -> int:
     return EXIT_OK
 
 
-def _cmd_dual(args, out, err) -> int:
-    parsed = parse_problem(_read_text(args.problem))
+def _cmd_dual(args, parsed, out, err) -> int:
     problem = parsed.to_problem()
     source = problem.samples if problem.samples is not None else problem.targets
     system = dual_system(problem.matrix, source, problem.prior)
@@ -344,8 +341,7 @@ def _cmd_dual(args, out, err) -> int:
     return EXIT_OK
 
 
-def _cmd_ideal(args, out, err) -> int:
-    parsed = parse_problem(_read_text(args.problem))
+def _cmd_ideal(args, parsed, out, err) -> int:
     matrix = ConstraintMatrix(tuple(c.values for c in parsed.constraints))
     generators = toric_ideal_generators(matrix)
     order = _text_order(args)
@@ -361,8 +357,7 @@ def _cmd_ideal(args, out, err) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args, out, err) -> int:
-    parsed = parse_problem(_read_text(args.problem))
+def _cmd_check(args, parsed, out, err) -> int:
     problem = parsed.to_problem()
     p = _read_distribution(args.dist, parsed.m)
     report = verify_model_membership(p, problem.matrix, tol=args.tol, prior=problem.prior)
@@ -386,8 +381,7 @@ def _cmd_check(args, out, err) -> int:
     return EXIT_SOLVER
 
 
-def _cmd_entropy(args, out, err) -> int:
-    parsed = parse_problem(_read_text(args.problem))
+def _cmd_entropy(args, parsed, out, err) -> int:
     p = _read_distribution(args.dist, parsed.m)
     if any(x < 0 for x in p):
         raise InputError("distribution file: negative probability")
@@ -420,23 +414,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, dist: bool = False) -> None:
+    # each command takes only the flags it reads
+    def common(p: argparse.ArgumentParser, tol=False, order=False, dist=False) -> None:
         p.add_argument("problem", help="problem JSON file, or - for stdin")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        if order:
+            p.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
         if dist:
             p.add_argument("--dist", required=True, help="distribution JSON file, or - for stdin")
 
     fit = sub.add_parser("fit", help="fit the multipliers and distribution")
-    common(fit)
+    common(fit, tol=True)
     fit.add_argument("--solver", choices=("gis", "newton", "groebner"), default="newton")
     fit.add_argument("--max-iter", type=int, default=None)
 
-    common(sub.add_parser("system", help="emit the direct moment-matching system"))
-    common(sub.add_parser("dual", help="emit the Laurent dual objective and its gradient"))
-    common(sub.add_parser("ideal", help="emit toric ideal generators"))
-    common(sub.add_parser("check", help="membership and moment residuals of a distribution"), dist=True)
+    common(sub.add_parser("system", help="emit the direct moment-matching system"), order=True)
+    common(sub.add_parser("dual", help="emit the Laurent dual objective and its gradient"), order=True)
+    common(sub.add_parser("ideal", help="emit toric ideal generators"), order=True)
+    common(sub.add_parser("check", help="membership and moment residuals of a distribution"), tol=True, dist=True)
     common(sub.add_parser("entropy", help="entropy and divergence of a distribution"), dist=True)
     return parser
 
@@ -450,7 +447,8 @@ def main(argv=None, out=None, err=None) -> int:
     """Entry point; returns the process exit code.
 
     Reentrant: calls share one parser built at import, and argparse's usage,
-    errors and ``--help`` go to the ``out`` and ``err`` of the call.
+    errors and ``--help`` go to the ``out`` and ``err`` of the call.  The
+    problem document is read and parsed here, once, for every command.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -460,14 +458,14 @@ def main(argv=None, out=None, err=None) -> int:
             args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
-    if not 0 < args.tol < math.inf:
+    if hasattr(args, "tol") and not 0 < args.tol < math.inf:
         err.write("error: --tol must be positive and finite\n")
         return EXIT_INPUT
     if getattr(args, "max_iter", None) is not None and args.max_iter < 1:
         err.write("error: --max-iter must be at least 1\n")
         return EXIT_INPUT
     try:
-        return _COMMANDS[args.command](args, out, err)
+        return _COMMANDS[args.command](args, parse_problem(_read_text(args.problem)), out, err)
     except (InputError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT

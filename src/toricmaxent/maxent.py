@@ -5,8 +5,9 @@ damped Newton iteration on the dual.  The algebraic path builds exact
 polynomial systems whose positive roots are the fitted parameters after the
 exponential change of variables, and solves them with the in-package
 Groebner engine plus exact univariate root isolation, which runs in integer
-arithmetic (Sturm chains with integer coefficients, bisection on integers
-over a common denominator).
+arithmetic (one Sturm chain with integer coefficients per eliminant, which
+also yields its square-free part, and bisection on integers over a common
+denominator).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .ratpoly import LEX, Polynomial, buchberger, laurent_clear
-from .toric import ConstraintMatrix, DistributionVector, _as_floats, _prior_floats
+from .toric import ConstraintMatrix, DistributionVector, _as_floats, _normalize, _prior_floats
 
 __all__ = [
     "DEFAULT_TOL",
@@ -195,14 +196,6 @@ def kl_divergence(p: Sequence, h: Sequence) -> float:
                 raise ValueError("reference must be positive wherever p is")
             total += x * math.log(x / y)
     return total
-
-
-def _normalize(logw: np.ndarray) -> tuple[np.ndarray, float]:
-    """Max-subtracted softmax of log-weights: ``(exp(logw) / Z, ln Z)``."""
-    peak = logw.max()
-    w = np.exp(logw - peak)
-    total = w.sum()
-    return w / total, float(peak + math.log(total))
 
 
 def model_distribution(
@@ -543,15 +536,6 @@ def _upoly_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return r
 
 
-def _upoly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive gcd with a positive leading coefficient, by primitive remainders."""
-    a, b = _primitive(list(a)), _upoly_trim(list(b))
-    while b:
-        b = _primitive(b)
-        a, b = b, _upoly_prem(a, b)
-    return a if a[-1] > 0 else [-v for v in a]
-
-
 def _upoly_exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """``a / b`` for a primitive ``b`` that divides ``a``; the quotient has integer coefficients."""
     r = list(a)
@@ -633,13 +617,16 @@ def _simplest_between(a: int, b: int, c: int, d: int) -> tuple[int, int]:
 def _positive_real_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """All positive real roots, as exact rationals within ``ROOT_WIDTH`` of the truth.
 
-    Isolation runs in integer arithmetic: the square-free part and its Sturm
-    chain have integer coefficients, and the endpoints of each interval are
-    integers over a common denominator.  A ``Fraction`` is made only for a
-    returned root.  Rational roots of moderate denominator are recovered
-    exactly: once an isolating interval has shrunk below ``ROOT_WIDTH``, the
-    smallest-denominator rational inside it is tested and returned when it
-    is a genuine root.
+    Isolation runs in integer arithmetic: the Sturm chain of the eliminant
+    and its square-free part have integer coefficients, and the endpoints of
+    each interval are integers over a common denominator.  One remainder
+    sequence serves both: the chain counts distinct roots whether or not a
+    root repeats, and its last element is the gcd of the eliminant and its
+    derivative, whose quotient is the square-free part that refines each
+    interval.  A ``Fraction`` is made only for a returned root.  Rational
+    roots of moderate denominator are recovered exactly: once an isolating
+    interval has shrunk below ``ROOT_WIDTH``, the smallest-denominator
+    rational inside it is tested and returned when it is a genuine root.
     """
     rational = [Fraction(v) for v in coeffs]
     den = math.lcm(*(v.denominator for v in rational))
@@ -651,10 +638,11 @@ def _positive_real_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     if len(c) == 1:
         return []
     c = _primitive(c)
-    gcd = _upoly_gcd(c, _upoly_derivative(c))
-    square_free = _primitive(_upoly_exact_quotient(c, gcd)) if len(gcd) > 1 else c
+    # the last element of the chain is gcd(c, c') up to sign; by Gauss's
+    # lemma the quotient by that primitive gcd is primitive
+    chain = _sturm_chain(c)
+    square_free = _upoly_exact_quotient(c, chain[-1]) if len(chain[-1]) > 1 else c
     n = len(square_free) - 1
-    chain = _sturm_chain(square_free)
 
     # every root lies below Cauchy's bound 1 + max|c_i| / |c_n|; start one above it
     lead = abs(square_free[-1])

@@ -82,14 +82,6 @@ LEX = MonomialOrder("lex")
 GREVLEX = MonomialOrder("grevlex")
 
 
-def order_compare(a: Sequence[int], b: Sequence[int], order: MonomialOrder) -> int:
-    """Compare exponent vectors; returns -1, 0 or 1 (cmp convention)."""
-    if len(a) != len(b):
-        raise ValueError("exponent vectors have different lengths")
-    ka, kb = order.key(a), order.key(b)
-    return (ka > kb) - (ka < kb)
-
-
 class Polynomial:
     """Sparse polynomial with exact rational coefficients.
 

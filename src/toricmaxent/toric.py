@@ -12,6 +12,7 @@ least-squares fit of its logarithms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -101,6 +102,14 @@ def _prior_floats(matrix: ConstraintMatrix, prior: Sequence | None) -> np.ndarra
     return h
 
 
+def _normalize(logw: np.ndarray) -> tuple[np.ndarray, float]:
+    """Max-subtracted softmax of log-weights: ``(exp(logw) / Z, ln Z)``."""
+    peak = logw.max()
+    w = np.exp(logw - peak)
+    total = w.sum()
+    return w / total, float(peak + math.log(total))
+
+
 def _exact(probs: tuple) -> bool:
     """Whether every entry is an exact rational, an ``int`` or a ``Fraction``."""
     return all(issubclass(kind, (int, Fraction)) for kind in set(map(type, probs)))
@@ -179,8 +188,9 @@ class MembershipReport:
 def toric_param(matrix: ConstraintMatrix, theta: Sequence, h: Sequence | None = None) -> DistributionVector:
     """Normalized monomial parametrization ``p_j = h_j * prod_i theta_i^a_ij / Z``.
 
-    Exact when ``theta`` and ``h`` are rational; float otherwise.  All
-    parameters must be strictly positive.
+    Exact when ``theta`` and ``h`` are rational; float otherwise, computed
+    from log-weights so that no power overflows.  All parameters must be
+    strictly positive.
     """
     if len(theta) != matrix.d:
         raise ValueError("theta length does not match matrix rows")
@@ -192,12 +202,11 @@ def toric_param(matrix: ConstraintMatrix, theta: Sequence, h: Sequence | None = 
         raise ValueError("weight length does not match alphabet size")
     if any(not w > 0 for w in h):
         raise ValueError("weights must be strictly positive")
-    if all(isinstance(x, (int, Fraction)) for x in (*theta, *h)):
-        theta = [Fraction(t) for t in theta]
-        h = [Fraction(w) for w in h]
-    else:
-        theta = [float(t) for t in theta]
-        h = [float(w) for w in h]
+    if not all(isinstance(x, (int, Fraction)) for x in (*theta, *h)):
+        logw = np.log(_as_floats(h, "weights")) + np.log(_as_floats(theta, "parameters")) @ matrix.to_array()
+        return DistributionVector(tuple(_normalize(logw)[0].tolist()))
+    theta = [Fraction(t) for t in theta]
+    h = [Fraction(w) for w in h]
     weights = []
     for j in range(matrix.m):
         w = h[j]
@@ -208,14 +217,6 @@ def toric_param(matrix: ConstraintMatrix, theta: Sequence, h: Sequence | None = 
         weights.append(w)
     total = sum(weights)
     return DistributionVector(tuple(w / total for w in weights))
-
-
-def apply_monomial_lift(matrix: ConstraintMatrix, u: Sequence[int]) -> tuple[int, ...]:
-    """Image ``A @ u`` of an integer vector under the matrix, exactly."""
-    if len(u) != matrix.m:
-        raise ValueError("vector length does not match alphabet size")
-    u = tuple(as_int(v) for v in u)
-    return tuple(sum(row[j] * u[j] for j in range(matrix.m)) for row in matrix.rows)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

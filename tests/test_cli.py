@@ -503,12 +503,99 @@ def test_check_point_with_a_zero_is_off_the_model(write_json):
     assert payload["max_moment_residual"] == 0.0
 
 
-@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "inf"), ("--max-iter", "0"), ("--max-iter", "-1")])
-def test_fit_rejects_invalid_numeric_flags(write_json, flag, value):
-    code, out, err = run(["fit", write_json(DICE), flag, value])
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        pytest.param("fit", "--tol", "nan", id="--tol-nan"),
+        pytest.param("fit", "--tol", "inf", id="--tol-inf"),
+        pytest.param("fit", "--max-iter", "0", id="--max-iter-0"),
+        pytest.param("fit", "--max-iter", "-1", id="--max-iter--1"),
+        pytest.param("check", "--tol", "nan", id="check---tol-nan"),
+        pytest.param("check", "--tol", "inf", id="check---tol-inf"),
+    ],
+)
+def test_fit_rejects_invalid_numeric_flags(write_json, command, flag, value):
+    argv = [command, write_json(DICE), flag, value]
+    if command == "check":
+        argv += ["--dist", write_json([1 / 6] * 6)]
+    code, out, err = run(argv)
     assert code == 2
     assert out == ""
-    assert flag in err
+    assert f"error: {flag} must be" in err
+
+
+# --- flag surface: each command takes only the flags it reads ---
+
+FLAGS_BY_COMMAND = {
+    "fit": ["--format", "--max-iter", "--solver", "--tol"],
+    "system": ["--format", "--order"],
+    "dual": ["--format", "--order"],
+    "ideal": ["--format", "--order"],
+    "check": ["--dist", "--format", "--tol"],
+    "entropy": ["--dist", "--format"],
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    from toricmaxent.cli import _PARSER
+
+    (sub,) = (a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: sorted(o for a in parser._actions for o in a.option_strings if o != "--help" and o.startswith("--"))
+        for name, parser in sub.choices.items()
+    }
+    assert flags == FLAGS_BY_COMMAND
+    assert sum(map(len, flags.values())) == 15
+
+
+def _with_dist(command, argv, write_json):
+    """``argv`` plus the uniform distribution, QUAD's fit, where ``command`` needs one."""
+    return argv + ["--dist", write_json([1 / 3] * 3)] if command in ("check", "entropy") else argv
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("fit", "--order", "lex"),
+        ("check", "--order", "lex"),
+        ("entropy", "--order", "lex"),
+        ("entropy", "--tol", "1e-6"),
+        ("system", "--tol", "1e-6"),
+        ("dual", "--tol", "1e-6"),
+        ("ideal", "--tol", "1e-6"),
+    ],
+)
+def test_removed_flags_are_unrecognized(write_json, command, flag, value):
+    argv = _with_dist(command, [command, write_json(QUAD), flag, value], write_json)
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("fit", ["--tol", "1e-8"]),
+        ("fit", ["--solver", "gis"]),
+        ("fit", ["--solver", "groebner"]),
+        ("fit", ["--max-iter", "50"]),
+        ("fit", ["--format", "json"]),
+        ("system", ["--order", "lex"]),
+        ("system", ["--format", "json"]),
+        ("dual", ["--order", "lex"]),
+        ("dual", ["--format", "json"]),
+        ("ideal", ["--order", "lex"]),
+        ("ideal", ["--format", "json"]),
+        ("check", ["--tol", "1e-8"]),
+        ("check", ["--format", "json"]),
+        ("entropy", ["--format", "json"]),
+    ],
+)
+def test_kept_flags_are_accepted(write_json, command, flags):
+    code, out, err = run(_with_dist(command, [command, write_json(QUAD), *flags], write_json))
+    assert (code, err) == (0, "")
+    assert out
 
 
 def test_entropy_command(write_json):

@@ -651,7 +651,7 @@ IRREDUCIBLE_QUADRATIC = st.integers(1, 500).filter(lambda n: math.isqrt(n) ** 2 
 @st.composite
 def products_with_repeats(draw):
     factors = [f for group in draw(st.lists(LINEAR, min_size=1, max_size=4)) for f in group]
-    factors += draw(st.lists(IRREDUCIBLE_QUADRATIC, max_size=2))
+    factors += [f for f in draw(st.lists(IRREDUCIBLE_QUADRATIC, max_size=2)) for _ in range(draw(st.integers(1, 3)))]
     scale = Fraction(draw(NONZERO), draw(st.integers(1, 9)))
     return [scale * v for v in _product(factors, 1)]
 
@@ -697,9 +697,10 @@ def test_root_isolation_reference_cases():
         [-1, 10**6 + 10**6 + 1, -(10**6) * (10**6 + 1)],  # 1/10^6 and 1/(10^6 + 1)
         [2**64, -(2**64) - 1, 1],  # 1 and 2^64
         [Fraction(-1, 3), Fraction(0), Fraction(-5, 7)],  # no real root
-        # a degree-18 eliminant from a d=3 fit with no positive root: the
-        # square-free gcd takes milliseconds only when every divisor in its
-        # remainder sequence is made primitive, and about 20 s otherwise
+        [-12, 4, 12, -4, -3, 1],  # (x^2 - 2)^2 (x - 3): a repeated irrational root
+        # a degree-18 eliminant from a d=3 fit with no positive root: its
+        # Sturm chain takes milliseconds only when every remainder in it is
+        # made primitive, and does not finish in two minutes otherwise
         [81, 0, -1431, 648, 25029, 14580, -88695, -793773, 540837, 1201014, -4749219, 6920676,
          28260261, 30569782, 62851641, 172867041, 43547544, 306110016, 816293376],
     ]

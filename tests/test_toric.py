@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -11,7 +12,6 @@ from toricmaxent.ratpoly import GREVLEX, LEX, Polynomial, buchberger, normal_for
 from toricmaxent.toric import (
     ConstraintMatrix,
     DistributionVector,
-    apply_monomial_lift,
     integer_kernel_basis,
     toric_ideal_generators,
     toric_param,
@@ -119,17 +119,12 @@ def test_kernel_vectors_are_integral_normalized_and_complete():
         vectors = integer_kernel_basis(matrix).vectors
         for u in vectors:
             assert all(isinstance(c, int) for c in u)
-            assert apply_monomial_lift(matrix, u) == (0,) * d
+            assert all(sum(map(mul, row, u)) == 0 for row in rows)
             lead = next(c for c in u if c != 0)
             assert lead > 0
         assert len(vectors) == m - rational_rank(rows)
         if vectors:
             assert rational_rank(vectors) == len(vectors)
-
-
-def test_monomial_lift_is_the_matrix_action():
-    assert apply_monomial_lift(CUBIC_CURVE, (1, 0, 0, 0)) == (1, 0)
-    assert apply_monomial_lift(CUBIC_CURVE, (0, -1, 0, 2)) == (1, 5)
 
 
 # --- toric ideal generators ---
@@ -288,6 +283,17 @@ def test_toric_param_float_input_gives_floats():
     p = toric_param(DICE, [0.9])
     assert not p.exact
     assert sum(p) == pytest.approx(1.0)
+
+
+def test_toric_param_float_powers_beyond_float_range():
+    # theta^6 = 1e600 overflows a float and 1e-600 underflows; the log-weights do
+    # not, and their rounding grows with their size (here up to 1400)
+    cases = [([1e100], None, [10**100]), ([1e-100], [1, 2, 3, 4, 5, 6.0], [Fraction(1, 10**100)]), ([0.9], None, [Fraction(9, 10)])]
+    for theta, h, exact_theta in cases:
+        p = toric_param(DICE, theta, h)
+        assert not p.exact
+        exact = toric_param(DICE, exact_theta, None if h is None else [int(w) for w in h])
+        assert list(p) == pytest.approx([float(x) for x in exact], rel=1e-12, abs=0)
 
 
 def test_toric_param_rejects_nonpositive_parameters():
