@@ -5,6 +5,12 @@ coefficients, tagged with a shared variable list.  A ``laurent`` flag admits
 negative exponents; division and Buchberger work in the ordinary ring and
 reject Laurent input, which callers first push through :func:`laurent_clear`.
 
+Coefficients are ``Fraction`` at the interface.  Inside :func:`buchberger`
+they are integers: every element is a primitive integer polynomial, reduced
+by pseudo-division, and the basis turns monic over ``Fraction`` only when it
+is returned.  :func:`normal_form` and :func:`multivariate_divide` stay over
+``Fraction``.
+
 Example::
 
     >>> x = Polynomial.variable(("x", "y"), "x")
@@ -20,7 +26,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import le
+from math import gcd, lcm
+from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -280,13 +287,11 @@ def _divides(a: Exponents, b: Exponents) -> bool:
 
 def _mono_times(p: Polynomial, coeff: Fraction, exps: Exponents) -> Iterable[tuple[Exponents, Fraction]]:
     for e, c in p.terms.items():
-        yield tuple(x + y for x, y in zip(e, exps)), c * coeff
+        yield tuple(map(add, e, exps)), c * coeff
 
 
-def _divide_impl(f, divisors, order, want_quotients, lead=None):
-    # ``lead`` holds the divisors' leading exponents when the caller keeps them
-    if lead is None:
-        lead = [g.leading_term(order)[0] for g in divisors]
+def _divide_impl(f, divisors, order, want_quotients):
+    lead = [g.leading_term(order)[0] for g in divisors]
     quotients = [dict() for _ in divisors] if want_quotients else None
     remainder: dict[Exponents, Fraction] = {}
     work = dict(f.terms)
@@ -349,13 +354,23 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOr
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """S-polynomial: cancel the leading terms of ``f`` and ``g`` against their lcm."""
+    """Fraction-free S-polynomial ``b*(l/lt(f))*f - a*(l/lt(g))*g``.
+
+    ``l`` is the lcm of the leading monomials, and ``a/b`` is
+    ``lc(f)/lc(g)`` in lowest terms, so the cofactors ``b`` and ``a`` are
+    coprime integers (``lc(g)/k`` and ``lc(f)/k`` for the positive rational
+    ``k = gcd(lc f, lc g)``).  On monic input this is the classical
+    ``(l/lt(f))*f - (l/lt(g))*g``; otherwise it is ``lc(f)*lc(g)/k`` times
+    it.  Integer coefficients stay integers, which :func:`buchberger` needs.
+    """
     if f.vars != g.vars:
         raise ValueError("polynomials are over different variable lists")
     (fe, fc), (ge, gc) = f.leading_term(order), g.leading_term(order)
-    lcm = tuple(max(a, b) for a, b in zip(fe, ge))
-    terms = dict(_mono_times(f, 1 / fc, tuple(l - a for l, a in zip(lcm, fe))))
-    for exps, coeff in _mono_times(g, 1 / gc, tuple(l - b for l, b in zip(lcm, ge))):
+    lcm_exps = _lcm(fe, ge)
+    fp, fq, gp, gq = fc.numerator, fc.denominator, gc.numerator, gc.denominator
+    k = gcd(fp * gq, gp * fq)
+    terms = dict(_mono_times(f, gp * fq // k, tuple(map(sub, lcm_exps, fe))))
+    for exps, coeff in _mono_times(g, fp * gq // k, tuple(map(sub, lcm_exps, ge))):
         acc = terms.get(exps, 0) - coeff
         if acc:
             terms[exps] = acc
@@ -465,12 +480,71 @@ class _PairQueue:
                 yield i, j
 
 
-def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasis:
-    """Buchberger's algorithm with the normal selection strategy.
+def _primitive(terms: dict[Exponents, int], lc: int) -> dict[Exponents, int]:
+    """Integer ``terms`` over their content, signed so that ``lc`` turns positive."""
+    k = gcd(*terms.values())
+    if lc < 0:
+        k = -k
+    return terms if k == 1 else {e: c // k for e, c in terms.items()}
 
-    Pairs are made, pruned and selected by the Gebauer-Moeller update of
-    :class:`_PairQueue`: the pending pair with the smallest leading-term lcm
-    is reduced first.  The returned basis is fully inter-reduced.
+
+def _pseudo_reduce(terms, divisors, lead, key) -> dict[Exponents, int]:
+    """Primitive positive multiple of the remainder of ``terms`` on division.
+
+    ``terms`` has integer coefficients; ``divisors`` are integer
+    polynomials with positive leading coefficients at the exponents
+    ``lead``.  The steps are those of :func:`_divide_impl`, with each
+    rational step ``w - (c/a)*m*g`` replaced by ``(a/k)*w - (c/k)*m*g``,
+    ``k = gcd(a, c)``.  The content is taken out after every step, so
+    every intermediate is primitive.  ``key`` is the order's sort key, or
+    ``None`` where the exponent tuples compare as the order does.
+    """
+    work = dict(terms)
+    rem: dict[Exponents, int] = {}
+    while work:
+        exps = max(work, key=key)
+        c = work[exps]
+        for g, g_exps in zip(divisors, lead):
+            if all(map(le, g_exps, exps)):
+                break
+        else:
+            rem[exps] = c
+            del work[exps]
+            continue
+        a = g.terms[g_exps]
+        k = gcd(a, c)
+        if k != a:
+            scale = a // k
+            work = {e: v * scale for e, v in work.items()}
+            rem = {e: v * scale for e, v in rem.items()}
+        q = c // k
+        shift = tuple(map(sub, exps, g_exps))
+        for e, v in g.terms.items():
+            t = tuple(map(add, e, shift))
+            acc = work.get(t, 0) - q * v
+            if acc:
+                work[t] = acc
+            else:
+                del work[t]
+        content = gcd(*work.values(), *rem.values())
+        if content > 1:
+            work = {e: v // content for e, v in work.items()}
+            rem = {e: v // content for e, v in rem.items()}
+    return _primitive(rem, rem[max(rem, key=key)]) if rem else rem
+
+
+def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasis:
+    """Buchberger's algorithm with the normal selection strategy, fraction-free.
+
+    Each generator is scaled once to a primitive integer polynomial with a
+    positive leading coefficient.  Pairs are made, pruned and selected by
+    the Gebauer-Moeller update of :class:`_PairQueue`: the pending pair
+    with the smallest leading-term lcm is reduced first.  Its integer
+    :func:`s_polynomial` is reduced by pseudo-division, and every element
+    kept is primitive.  Each is a positive multiple of the monic element
+    that rational arithmetic would keep, so the pairs and their order are
+    the same.  The returned basis is fully inter-reduced and made monic,
+    with ``Fraction`` coefficients, only at the end.
     """
     gens = [g for g in generators if g.terms]
     if any(g.laurent and any(e < 0 for exps in g.terms for e in exps) for g in gens):
@@ -482,24 +556,27 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> Groebn
         if g.vars != vars0:
             raise ValueError("generators over different variable lists")
 
-    basis: list[Polynomial] = []
+    key = None if order == LEX else order.key  # under plain lex, tuples compare as the order does
+    basis: list[Polynomial] = []  # primitive integer polynomials, positive leading coefficients
     pairs = _PairQueue(order)
     lead = pairs.lead
 
-    def add(h: Polynomial) -> None:
-        basis.append(h)
-        pairs.add(h.leading_term(order)[0])
+    def adjoin(terms: dict[Exponents, int]) -> None:
+        basis.append(Polynomial._raw(vars0, terms, False))
+        pairs.add(max(terms, key=key))
 
     for g in gens:
-        m = g.monic(order)
-        if m not in basis:
-            add(m)
+        den = lcm(*(c.denominator for c in g.terms.values()))
+        h = {e: c.numerator * (den // c.denominator) for e, c in g.terms.items()}
+        h = _primitive(h, h[max(h, key=key)])
+        if all(h != b.terms for b in basis):
+            adjoin(h)
 
     for i, j in pairs:
         s = s_polynomial(basis[i], basis[j], order)
-        r = _divide_impl(s, basis, order, False, lead) if s.terms else s
-        if r.terms:
-            add(r.monic(order))
+        r = _pseudo_reduce(s.terms, basis, lead, key) if s.terms else s.terms
+        if r:
+            adjoin(r)
 
     # tail-reduce every element of a minimal basis against the others
     keep = pairs.minimal()
@@ -508,10 +585,11 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> Groebn
     kept_lead = [lead[i] for i in keep]
     reduced = []
     for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :]
-        if others:
-            g = _divide_impl(g, others, order, False, kept_lead[:idx] + kept_lead[idx + 1 :])
-        reduced.append(g.monic(order))
+        terms = g.terms
+        if len(kept) > 1:
+            terms = _pseudo_reduce(terms, kept[:idx] + kept[idx + 1 :], kept_lead[:idx] + kept_lead[idx + 1 :], key)
+        lc = terms[kept_lead[idx]]
+        reduced.append(Polynomial._raw(vars0, {e: Fraction(c, lc) for e, c in terms.items()}, False))
     return GroebnerBasis(tuple(reduced), order)
 
 

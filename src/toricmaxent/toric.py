@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, repeat
-from operator import index as as_int, le, lt, mul
+from operator import ge, index as as_int, le, lt, mul
 from typing import Sequence
 
 import numpy as np
@@ -125,8 +125,9 @@ class DistributionVector:
         probs = tuple(self.probs)
         if not probs:
             raise ValueError("empty distribution")
-        if any(map(lt, probs, repeat(0))):
-            raise ValueError("negative probability")
+        # one pass: NaN fails ``>= 0`` as a negative entry does; +inf fails the sum
+        if not all(map(ge, probs, repeat(0))):
+            raise ValueError("negative probability" if any(map(lt, probs, repeat(0))) else "probability is not a number")
         total = sum(probs)
         if _exact(probs):
             if total != 1:
@@ -190,18 +191,18 @@ def toric_param(matrix: ConstraintMatrix, theta: Sequence, h: Sequence | None = 
 
     Exact when ``theta`` and ``h`` are rational; float otherwise, computed
     from log-weights so that no power overflows.  All parameters must be
-    strictly positive.
+    strictly positive and finite.
     """
     if len(theta) != matrix.d:
         raise ValueError("theta length does not match matrix rows")
-    if any(not t > 0 for t in theta):
-        raise ValueError("theta must be strictly positive")
+    if any(not 0 < t < math.inf for t in theta):
+        raise ValueError("theta must be strictly positive and finite")
     if h is None:
         h = [1] * matrix.m
     if len(h) != matrix.m:
         raise ValueError("weight length does not match alphabet size")
-    if any(not w > 0 for w in h):
-        raise ValueError("weights must be strictly positive")
+    if any(not 0 < w < math.inf for w in h):
+        raise ValueError("weights must be strictly positive and finite")
     if not all(isinstance(x, (int, Fraction)) for x in (*theta, *h)):
         logw = np.log(_as_floats(h, "weights")) + np.log(_as_floats(theta, "parameters")) @ matrix.to_array()
         return DistributionVector(tuple(_normalize(logw)[0].tolist()))

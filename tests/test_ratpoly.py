@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: construction, orders, division, Groebner bases, text grammar."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricmaxent import ratpoly
+from toricmaxent.maxent import direct_system
 from toricmaxent.ratpoly import (
     GREVLEX,
     LEX,
     MonomialOrder,
     Polynomial,
+    _PairQueue,
     buchberger,
     laurent_clear,
     multivariate_divide,
@@ -20,6 +24,7 @@ from toricmaxent.ratpoly import (
     poly_to_text,
     s_polynomial,
 )
+from toricmaxent.toric import ConstraintMatrix
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -348,6 +353,170 @@ def test_buchberger_matches_naive_reference():
             continue
         assert set(buchberger(gens, order).basis) == _naive_reduced_groebner(gens, order)
         checked += 1
+
+
+# --- the fraction-free engine against the rational one ---
+
+
+def _classical_s_polynomial(f, g, order):
+    (fe, fc), (ge, gc) = f.leading_term(order), g.leading_term(order)
+    lcm = tuple(map(max, fe, ge))
+    mf = Polynomial.monomial(f.vars, [a - b for a, b in zip(lcm, fe)], 1 / fc)
+    mg = Polynomial.monomial(g.vars, [a - b for a, b in zip(lcm, ge)], 1 / gc)
+    return mf * f - mg * g
+
+
+def reference_buchberger(generators, order):
+    """The rational engine: monic ``Fraction`` elements, the same pair queue.
+
+    Returns the reduced basis and the number of S-pairs reduced.
+    """
+    basis = []
+    pairs = _PairQueue(order)
+    for g in generators:
+        m = g.monic(order) if g.terms else g
+        if m.terms and m not in basis:
+            basis.append(m)
+            pairs.add(m.leading_term(order)[0])
+    reduced_pairs = 0
+    for i, j in pairs:
+        reduced_pairs += 1
+        r = normal_form(_classical_s_polynomial(basis[i], basis[j], order), basis, order)
+        if r.terms:
+            basis.append(r.monic(order))
+            pairs.add(r.leading_term(order)[0])
+    keep = sorted(pairs.minimal(), key=lambda i: order.key(pairs.lead[i]))
+    kept = [basis[i] for i in keep]
+    out = tuple(
+        normal_form(g, kept[:k] + kept[k + 1 :], order).monic(order) if len(kept) > 1 else g
+        for k, g in enumerate(kept)
+    )
+    return out, reduced_pairs
+
+
+def _orders(n):
+    back = tuple(reversed(range(n)))
+    return [LEX, GREVLEX, MonomialOrder("lex", back), MonomialOrder("grevlex", back)]
+
+
+def _assert_matches_reference(monkeypatch, gens, order):
+    reduced = []
+    original = ratpoly.s_polynomial
+    with monkeypatch.context() as patch:
+        patch.setattr(ratpoly, "s_polynomial", lambda f, g, o: reduced.append(1) or original(f, g, o))
+        gb = buchberger(gens, order)
+    expected, expected_pairs = reference_buchberger(gens, order)
+    assert gb.basis == expected
+    assert len(reduced) == expected_pairs
+    for g in gb.basis:
+        assert all(type(c) is Fraction for c in g.terms.values())
+
+
+def _random_binomial(rng, vars):
+    lead = tuple(rng.randint(0, 3) for _ in vars)
+    trail = tuple(rng.randint(0, 3) for _ in vars)
+    return Polynomial(vars, {lead: Fraction(rng.randint(1, 5), rng.randint(1, 3)), trail: -rng.randint(1, 4)})
+
+
+def test_fraction_free_buchberger_matches_rational_engine_on_random_input(monkeypatch):
+    rng = random.Random(4711)
+    for trial in range(160):
+        vars = XYZ[: rng.randint(1, 3)]
+        order = _orders(len(vars))[trial % 4]
+        if trial % 3 == 2:
+            gens = [_random_binomial(rng, vars) for _ in range(rng.randint(2, 4))]
+        else:
+            # non-monic rational coefficients with large denominators
+            gens = [
+                Polynomial(vars, {e: c * Fraction(rng.randint(1, 97), rng.randint(1, 89)) for e, c in g.terms.items()})
+                for g in (random_poly(rng, vars, max_exp=2, max_terms=4) for _ in range(rng.randint(1, 3)))
+            ]
+        _assert_matches_reference(monkeypatch, gens, order)
+
+
+EXACT_SHAPES = {
+    "stair": [[0, 1, 2, 3, 4, 4], [0, 1, 1, 2, 2, 4]],
+    "tri3": [[0, 1, 0, 0, 1, 1, 0, 1], [0, 0, 1, 0, 1, 0, 1, 1], [0, 0, 0, 1, 0, 1, 1, 1]],
+    "kite": [[0, 1, 2, 1], [0, 0, 1, 2]],
+    "cube": [[0, 1, 0, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1]],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(EXACT_SHAPES))
+def test_fraction_free_buchberger_matches_rational_engine_on_exact_fit_systems(monkeypatch, shape):
+    rows = EXACT_SHAPES[shape]
+    m = len(rows[0])
+    rng = random.Random(shape)
+    for k in range(2):
+        weights = [rng.randint(1, 3) for _ in range(m)]
+        targets = [Fraction(sum(w * a for w, a in zip(weights, row)), sum(weights)) for row in rows]
+        prior = [rng.randint(1, 4) for _ in range(m)] if k else None
+        equations = direct_system(ConstraintMatrix(rows), targets, prior).equations
+        for order in (LEX, GREVLEX):
+            _assert_matches_reference(monkeypatch, equations, order)
+
+
+def _sympy_reduced_basis(sympy, gens, order):
+    arranged = order.arrange(range(len(gens[0].vars)))
+    symbols = sympy.symbols(gens[0].vars)
+    sym_gens = [symbols[i] for i in arranged]
+    exprs = [
+        sum(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**e for x, e in zip(symbols, exps))) for exps, c in g.terms.items())
+        for g in gens
+    ]
+    basis = sympy.groebner(exprs, *sym_gens, order=order.kind, domain="QQ")
+    out = set()
+    for expr in basis.exprs:
+        poly = sympy.Poly(expr, *symbols, domain="QQ")
+        out.add(Polynomial(gens[0].vars, {exps: Fraction(int(c.p), int(c.q)) for exps, c in poly.terms()}).monic(order))
+    return out
+
+
+def test_fraction_free_buchberger_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(77)
+    for trial in range(24):
+        vars = XYZ[: rng.randint(2, 3)]
+        order = _orders(len(vars))[trial % 4]
+        gens = [g for g in (random_poly(rng, vars, max_exp=2, max_terms=3) for _ in range(rng.randint(2, 3))) if g.terms]
+        if trial % 3 == 2:
+            gens = [_random_binomial(rng, vars) for _ in range(3)]
+        if not gens:
+            continue
+        assert set(buchberger(gens, order).basis) == _sympy_reduced_basis(sympy, gens, order)
+
+
+def test_s_polynomial_is_classical_on_monic_input_and_a_multiple_otherwise():
+    rng = random.Random(5)
+    checked = 0
+    while checked < 60:
+        vars = XYZ[: rng.randint(1, 3)]
+        order = _orders(len(vars))[checked % 4]
+        f, g = (random_poly(rng, vars, max_exp=3, max_terms=4) for _ in range(2))
+        if not f.terms or not g.terms:
+            continue
+        classical = _classical_s_polynomial(f, g, order)
+        assert s_polynomial(f.monic(order), g.monic(order), order) == classical
+        s = s_polynomial(f, g, order)
+        fc, gc = f.leading_term(order)[1], g.leading_term(order)[1]
+        if not classical.terms:
+            assert not s.terms
+        else:
+            # the factor is lc(f)*lc(g)/gcd(lc f, lc g), and the cofactors are coprime integers
+            factor = next(s.terms[e] / c for e, c in classical.terms.items())
+            assert factor and s == classical * factor
+            assert (factor / fc).denominator == 1 and (factor / gc).denominator == 1
+            assert math.gcd((factor / fc).numerator, (factor / gc).numerator) == 1
+        checked += 1
+
+
+def test_s_polynomial_keeps_integer_coefficients_integral():
+    f = Polynomial._raw(XY, {(2, 1): 6, (0, 0): -4}, False)
+    g = Polynomial._raw(XY, {(1, 2): 4, (1, 0): 3}, False)
+    s = s_polynomial(f, g, LEX)
+    # lc 6 and 4: k = 2, so 2*y*f - 3*x*g
+    assert s.terms == {(2, 0): -9, (0, 1): -8}
+    assert all(type(c) is int for c in s.terms.values())
 
 
 # --- Laurent clearing ---

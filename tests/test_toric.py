@@ -89,6 +89,17 @@ def test_distribution_rejects_bad_vectors():
         DistributionVector((Fraction(3, 2), Fraction(-1, 2)))
 
 
+def test_distribution_rejects_non_finite_entries():
+    nan, inf = float("nan"), float("inf")
+    for probs in ((nan, nan), (nan, 1.0), (0.5, 0.5, nan), (inf, 0.0), (1.0, inf, -inf), (-inf, 1.0)):
+        with pytest.raises(ValueError):
+            DistributionVector(probs)
+    with pytest.raises(ValueError, match="not a number"):
+        DistributionVector((nan, nan))
+    with pytest.raises(ValueError, match="negative probability"):
+        DistributionVector((nan, -0.5, 1.5))
+
+
 def test_distribution_float_sum_tolerance():
     third = 1.0 / 3.0
     DistributionVector((third, third, 1.0 - 2.0 * third))
@@ -277,6 +288,17 @@ def test_toric_param_promotes_integer_parameters():
 def test_toric_param_with_prior_weights():
     p = toric_param(ConstraintMatrix([[0, 1]]), [Fraction(1)], h=[1, 3])
     assert list(p) == [Fraction(1, 4), Fraction(3, 4)]
+
+
+def test_toric_param_rejects_non_finite_parameters():
+    inf, nan = float("inf"), float("nan")
+    line = ConstraintMatrix([[1, 2, 3]])
+    for theta in ([inf], [nan], [-inf]):
+        with pytest.raises(ValueError, match="theta"):
+            toric_param(line, theta)
+    for h in ([1, inf, 1], [1.0, 2.0, nan]):
+        with pytest.raises(ValueError, match="weights"):
+            toric_param(line, [0.5], h)
 
 
 def test_toric_param_float_input_gives_floats():
