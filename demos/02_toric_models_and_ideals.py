@@ -35,11 +35,11 @@ for row in independence.rows:
 
 
 kernel = integer_kernel_basis(independence)
-print("integer kernel basis:", kernel.vectors)
+print("integer kernel basis:", kernel)
 
 gens = toric_ideal_generators(independence)
 print("ideal generators:")
-for g in gens.binomials:
+for g in gens:
     print("  ", poly_to_text(g))
 
 # The single quadric p1*p4 - p2*p3 is the classical independence test:
@@ -47,7 +47,7 @@ for g in gens.binomials:
 theta = [Fraction(1, 2), Fraction(1, 2), Fraction(2, 3), Fraction(1, 3)]
 p = toric_param(independence, theta)
 print("\nparametrized point:", [str(v) for v in p])
-print("generator value there:", gens.binomials[0].evaluate(list(p)))
+print("generator value there:", gens[0].evaluate(list(p)))
 
 # Membership of a positive point needs no ideal.  The model is log-linear:
 # p is on it exactly when log(p / h) is a combination of the rows of A and
@@ -74,11 +74,11 @@ print("table with zeros on the model?", verify_model_membership([0.5, 0.5, 0, 0]
 
 # Saturation matters.  For the monomial curve below, the kernel basis
 # binomials generate a strictly smaller ideal than the model's full ideal;
-# the elimination step recovers the missing quadric p1*p4 - p2*p3.
+# saturating by the coordinates recovers the missing quadric p1*p4 - p2*p3.
 curve = ConstraintMatrix([[1, 1, 1, 1], [0, 1, 2, 3]])
-print("\nmonomial curve kernel:", integer_kernel_basis(curve).vectors)
+print("\nmonomial curve kernel:", integer_kernel_basis(curve))
 print("saturated generators:")
-for g in toric_ideal_generators(curve).binomials:
+for g in toric_ideal_generators(curve):
     print("  ", poly_to_text(g))
 
 # Spot check: random parameters always land on the variety of every generator.
@@ -86,6 +86,6 @@ rng = random.Random(0)
 worst = 0.0
 for _ in range(200):
     point = toric_param(curve, [rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)])
-    for g in toric_ideal_generators(curve).binomials:
+    for g in toric_ideal_generators(curve):
         worst = max(worst, abs(g.evaluate(point.as_floats())))
 print("worst generator residual over 200 random points:", worst)

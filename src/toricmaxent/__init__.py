@@ -48,10 +48,8 @@ from .ratpoly import (
     s_polynomial,
 )
 from .toric import (
-    BinomialGenerators,
     ConstraintMatrix,
     DistributionVector,
-    LatticeBasis,
     MembershipReport,
     integer_kernel_basis,
     toric_ideal_generators,
@@ -62,7 +60,6 @@ from .toric import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinomialGenerators",
     "ConstraintMatrix",
     "DEFAULT_TOL",
     "DistributionVector",
@@ -71,7 +68,6 @@ __all__ = [
     "GroebnerBasis",
     "InfeasibleMomentsError",
     "LEX",
-    "LatticeBasis",
     "MaxEntProblem",
     "MembershipReport",
     "MonomialOrder",

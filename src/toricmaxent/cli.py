@@ -59,26 +59,24 @@ class InputError(Exception):
 
 
 @dataclass(frozen=True)
-class ConstraintDef:
-    name: str
-    values: tuple[int, ...]
-    target: int | Fraction | None
-
-
-@dataclass(frozen=True)
 class ProblemDef:
-    """Validated problem document: alphabet size, constraints, data, prior."""
+    """Validated problem document: alphabet size, constraint rows, data, prior.
+
+    ``targets`` holds one target per row, or is ``None`` when ``samples``
+    are given.
+    """
 
     m: int
-    constraints: tuple[ConstraintDef, ...]
+    rows: tuple[tuple[int, ...], ...]
+    targets: tuple[int | Fraction, ...] | None
     samples: tuple[int, ...] | None
     prior: tuple[int | Fraction, ...] | None
 
     def to_problem(self) -> MaxEntProblem:
-        matrix = ConstraintMatrix(tuple(c.values for c in self.constraints))
+        matrix = ConstraintMatrix(self.rows)
         if self.samples is not None:
             return MaxEntProblem.from_samples(matrix, self.samples, prior=self.prior)
-        return MaxEntProblem.from_targets(matrix, tuple(c.target for c in self.constraints), prior=self.prior)
+        return MaxEntProblem.from_targets(matrix, self.targets, prior=self.prior)
 
 
 def _as_rational(value, path: str) -> int | Fraction:
@@ -137,7 +135,7 @@ def parse_problem(text: str) -> ProblemDef:
                     raise InputError(f"samples[{j}]: symbol {value} outside 1..{m}")
         samples = tuple(samples)
 
-    constraints = []
+    rows, targets = [], []
     for i, raw in enumerate(raw_constraints):
         path = f"constraints[{i}]"
         if not isinstance(raw, dict):
@@ -159,7 +157,8 @@ def parse_problem(text: str) -> ProblemDef:
             target = _as_rational(target, f"{path}.target")
         elif samples is None:
             raise InputError(f"{path}.target: missing (and no samples given)")
-        constraints.append(ConstraintDef(name, tuple(values), target))
+        rows.append(tuple(values))
+        targets.append(target)
 
     prior = doc.get("prior")
     if prior is not None:
@@ -175,7 +174,7 @@ def parse_problem(text: str) -> ProblemDef:
             prior = weights
         prior = tuple(prior)
 
-    return ProblemDef(m, tuple(constraints), samples, prior)
+    return ProblemDef(m, tuple(rows), None if samples is not None else tuple(targets), samples, prior)
 
 
 _REAL_FORMAT = "%.17g"
@@ -270,20 +269,10 @@ def _text_order(args) -> MonomialOrder:
 
 
 def _fit_payload(result) -> dict:
-    payload = {
-        "solver": result.solver,
-        "iterations": result.iterations,
-        "xi": [float(v) for v in result.xi],
-    }
+    payload = {"solver": result.solver, "iterations": result.iterations, "xi": result.xi}
     if result.xi_empirical is not None:
-        payload["xi_empirical"] = [float(v) for v in result.xi_empirical]
-    payload.update(
-        {
-            "p": result.p.probs,
-            "logZ": float(result.log_z),
-            "residual": float(result.residual),
-        }
-    )
+        payload["xi_empirical"] = result.xi_empirical
+    payload.update({"p": result.p.probs, "logZ": result.log_z, "residual": result.residual})
     return payload
 
 
@@ -342,7 +331,7 @@ def _cmd_dual(args, parsed, out, err) -> int:
 
 
 def _cmd_ideal(args, parsed, out, err) -> int:
-    matrix = ConstraintMatrix(tuple(c.values for c in parsed.constraints))
+    matrix = ConstraintMatrix(parsed.rows)
     generators = toric_ideal_generators(matrix)
     order = _text_order(args)
     rendered = [poly_to_text(g, order) for g in generators]

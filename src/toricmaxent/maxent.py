@@ -27,7 +27,7 @@ from .errors import (
     SizeLimitError,
     UnsupportedStructureError,
 )
-from .ratpoly import LEX, Polynomial, buchberger, laurent_clear
+from .ratpoly import LEX, Polynomial, _reject_laurent, buchberger, laurent_clear
 from .toric import ConstraintMatrix, DistributionVector, _as_floats, _normalize, _prior_floats
 
 __all__ = [
@@ -88,6 +88,9 @@ class MaxEntProblem:
             targets = tuple(self.targets)
             if len(targets) != self.matrix.d:
                 raise ValueError("target length does not match constraint count")
+            # exact targets stay exact at any size; a float one must be finite
+            if not all(math.isfinite(t) for t in targets if isinstance(t, (float, np.floating))):
+                raise ValueError("targets must be finite")
             object.__setattr__(self, "targets", targets)
         if self.prior is not None:
             prior = tuple(self.prior)
@@ -708,8 +711,7 @@ def solve_algebraic(system: PolySystem) -> list[tuple[Fraction, ...]]:
     equations = [eq for eq in system.equations if eq.terms]
     if not equations:
         raise UnsupportedStructureError("system is identically zero")
-    if any(any(e < 0 for exps in eq.terms for e in exps) for eq in equations):
-        raise ValueError("Laurent input; clear denominators first")
+    _reject_laurent(equations)
     names = equations[0].vars
     n = len(names)
     if n > MAX_SOLVE_VARIABLES:
@@ -732,9 +734,8 @@ def solve_algebraic(system: PolySystem) -> list[tuple[Fraction, ...]]:
         raise UnsupportedStructureError("system is not zero-dimensional")
 
     last = n - 1
+    # under lex with t_n least, a monomial below t_n^k is a power of t_n, so the eliminant is univariate
     eliminant = pure[last]
-    if any(any(exps[:last]) for exps in eliminant.terms):
-        raise UnsupportedStructureError("eliminant mixes variables")
     for v in range(last):
         exps, _ = pure[v].leading_term(LEX)
         if exps[v] != 1:

@@ -1,9 +1,11 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial is a map from integer exponent vectors to nonzero Fraction
-coefficients, tagged with a shared variable list.  A ``laurent`` flag admits
-negative exponents; division and Buchberger work in the ordinary ring and
-reject Laurent input, which callers first push through :func:`laurent_clear`.
+coefficients, tagged with a shared variable list.  A polynomial is Laurent
+exactly when one of its exponents is negative; ``laurent=True`` at
+construction admits such exponents and is not stored.  Division and
+Buchberger work in the ordinary ring and reject Laurent input, which callers
+first push through :func:`laurent_clear`.
 
 Coefficients are ``Fraction`` at the interface.  Inside :func:`buchberger`
 they are integers: every element is a primitive integer polynomial, reduced
@@ -95,11 +97,11 @@ class Polynomial:
     Value-semantic: construction canonicalizes (zero coefficients dropped,
     coefficients normalized to ``Fraction``) and no method mutates an
     existing instance.  Two polynomials are equal when their variable lists
-    and term maps coincide; the ``laurent`` flag marks ring membership and
-    does not enter equality.
+    and term maps coincide.  ``laurent=True`` admits negative exponents at
+    construction; without it they raise ``ValueError``.
     """
 
-    __slots__ = ("vars", "terms", "laurent")
+    __slots__ = ("vars", "terms")
 
     def __init__(
         self,
@@ -124,25 +126,23 @@ class Polynomial:
                 clean[exps] = coeff
         self.vars = names
         self.terms = clean
-        self.laurent = bool(laurent)
 
     @classmethod
-    def _raw(cls, vars: tuple[str, ...], terms: dict[Exponents, Fraction], laurent: bool) -> "Polynomial":
+    def _raw(cls, vars: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "Polynomial":
         # internal fast path: caller guarantees canonical terms
         p = object.__new__(cls)
         p.vars = vars
         p.terms = terms
-        p.laurent = laurent
         return p
 
     @classmethod
-    def zero(cls, vars: Sequence[str], laurent: bool = False) -> "Polynomial":
-        return cls(vars, {}, laurent)
+    def zero(cls, vars: Sequence[str]) -> "Polynomial":
+        return cls(vars, {})
 
     @classmethod
-    def constant(cls, vars: Sequence[str], value, laurent: bool = False) -> "Polynomial":
+    def constant(cls, vars: Sequence[str], value) -> "Polynomial":
         names = tuple(vars)
-        return cls(names, {(0,) * len(names): value}, laurent)
+        return cls(names, {(0,) * len(names): value})
 
     @classmethod
     def monomial(cls, vars: Sequence[str], exps: Sequence[int], coeff=1, laurent: bool = False) -> "Polynomial":
@@ -171,7 +171,7 @@ class Polynomial:
             if other.vars != self.vars:
                 raise ValueError("polynomials are over different variable lists")
             return other
-        return Polynomial.constant(self.vars, other, self.laurent)
+        return Polynomial.constant(self.vars, other)
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -182,12 +182,12 @@ class Polynomial:
                 terms[exps] = acc
             else:
                 terms.pop(exps, None)
-        return Polynomial._raw(self.vars, terms, self.laurent or other.laurent)
+        return Polynomial._raw(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw(self.vars, {e: -c for e, c in self.terms.items()}, self.laurent)
+        return Polynomial._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -199,8 +199,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             coeff = Fraction(other)
             if not coeff:
-                return Polynomial.zero(self.vars, self.laurent)
-            return Polynomial._raw(self.vars, {e: c * coeff for e, c in self.terms.items()}, self.laurent)
+                return Polynomial.zero(self.vars)
+            return Polynomial._raw(self.vars, {e: c * coeff for e, c in self.terms.items()})
         other = self._coerce(other)
         terms: dict[Exponents, Fraction] = {}
         for ea, ca in self.terms.items():
@@ -211,14 +211,14 @@ class Polynomial:
                     terms[exps] = acc
                 else:
                     terms.pop(exps, None)
-        return Polynomial._raw(self.vars, terms, self.laurent or other.laurent)
+        return Polynomial._raw(self.vars, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Polynomial.constant(self.vars, 1, self.laurent)
+        result = Polynomial.constant(self.vars, 1)
         base = self
         while n:
             if n & 1:
@@ -259,7 +259,7 @@ class Polynomial:
         _, lead = self.leading_term(order)
         if lead == 1:
             return self
-        return Polynomial._raw(self.vars, {e: c / lead for e, c in self.terms.items()}, self.laurent)
+        return Polynomial._raw(self.vars, {e: c / lead for e, c in self.terms.items()})
 
     def differentiate(self, var_index: int) -> "Polynomial":
         """Partial derivative with respect to the variable at ``var_index``."""
@@ -272,7 +272,7 @@ class Polynomial:
                 continue
             shifted = exps[:var_index] + (e - 1,) + exps[var_index + 1 :]
             terms[shifted] = coeff * e
-        return Polynomial._raw(self.vars, terms, self.laurent)
+        return Polynomial._raw(self.vars, terms)
 
     def __str__(self) -> str:
         return poly_to_text(self)
@@ -283,6 +283,12 @@ class Polynomial:
 
 def _divides(a: Exponents, b: Exponents) -> bool:
     return all(map(le, a, b))
+
+
+def _reject_laurent(polys: Iterable[Polynomial]) -> None:
+    """Raise ``ValueError`` when a polynomial has a negative exponent."""
+    if any(min(exps) < 0 for f in polys for exps in f.terms):
+        raise ValueError("Laurent input; clear denominators first")
 
 
 def _mono_times(p: Polynomial, coeff: Fraction, exps: Exponents) -> Iterable[tuple[Exponents, Fraction]]:
@@ -314,18 +320,17 @@ def _divide_impl(f, divisors, order, want_quotients):
         else:
             remainder[exps] = coeff
             del work[exps]
-    rem = Polynomial._raw(f.vars, remainder, False)
+    rem = Polynomial._raw(f.vars, remainder)
     if not want_quotients:
         return rem
-    qs = [Polynomial._raw(f.vars, {e: c for e, c in q.items() if c}, False) for q in quotients]
+    qs = [Polynomial._raw(f.vars, {e: c for e, c in q.items() if c}) for q in quotients]
     return qs, rem
 
 
 def _check_division_args(f, divisors):
     if not divisors:
         raise ValueError("empty divisor list")
-    if f.laurent or any(g.laurent for g in divisors):
-        raise ValueError("Laurent input; clear denominators first")
+    _reject_laurent([f, *divisors])
     for g in divisors:
         if g.vars != f.vars:
             raise ValueError("divisor over a different variable list")
@@ -376,7 +381,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
             terms[exps] = acc
         else:
             terms.pop(exps, None)
-    return Polynomial._raw(f.vars, terms, False)
+    return Polynomial._raw(f.vars, terms)
 
 
 @dataclass(frozen=True)
@@ -547,8 +552,7 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> Groebn
     with ``Fraction`` coefficients, only at the end.
     """
     gens = [g for g in generators if g.terms]
-    if any(g.laurent and any(e < 0 for exps in g.terms for e in exps) for g in gens):
-        raise ValueError("Laurent input; clear denominators first")
+    _reject_laurent(gens)
     if not gens:
         return GroebnerBasis((), order)
     vars0 = gens[0].vars
@@ -562,7 +566,7 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> Groebn
     lead = pairs.lead
 
     def adjoin(terms: dict[Exponents, int]) -> None:
-        basis.append(Polynomial._raw(vars0, terms, False))
+        basis.append(Polynomial._raw(vars0, terms))
         pairs.add(max(terms, key=key))
 
     for g in gens:
@@ -589,7 +593,7 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> Groebn
         if len(kept) > 1:
             terms = _pseudo_reduce(terms, kept[:idx] + kept[idx + 1 :], kept_lead[:idx] + kept_lead[idx + 1 :], key)
         lc = terms[kept_lead[idx]]
-        reduced.append(Polynomial._raw(vars0, {e: Fraction(c, lc) for e, c in terms.items()}, False))
+        reduced.append(Polynomial._raw(vars0, {e: Fraction(c, lc) for e, c in terms.items()}))
     return GroebnerBasis(tuple(reduced), order)
 
 
@@ -601,18 +605,11 @@ def laurent_clear(f: Polynomial) -> tuple[Exponents, Polynomial]:
     points keep their zero/nonzero status since the multiplier never
     vanishes on the open orthant.
     """
-    n = len(f.vars)
-    if not f.terms:
-        return (0,) * n, Polynomial.zero(f.vars)
-    shift = tuple(
-        max(0, -min(exps[k] for exps in f.terms)) for k in range(n)
-    )
+    shift = tuple(max(0, -min((exps[k] for exps in f.terms), default=0)) for k in range(len(f.vars)))
     if not any(shift):
-        return shift, Polynomial._raw(f.vars, dict(f.terms), False)
-    terms = {
-        tuple(e + s for e, s in zip(exps, shift)): coeff for exps, coeff in f.terms.items()
-    }
-    return shift, Polynomial._raw(f.vars, terms, False)
+        return shift, f
+    terms = {tuple(map(add, exps, shift)): coeff for exps, coeff in f.terms.items()}
+    return shift, Polynomial._raw(f.vars, terms)
 
 
 def poly_to_text(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
@@ -656,7 +653,8 @@ _TOKEN_RE = re.compile(
 def parse_poly(text: str, vars: Sequence[str], laurent: bool = False) -> Polynomial:
     """Parse the term grammar produced by :func:`poly_to_text`.
 
-    Round-trips bit-exactly: ``parse_poly(poly_to_text(f), f.vars, f.laurent) == f``.
+    Round-trips bit-exactly: ``parse_poly(poly_to_text(f), f.vars, laurent=True) == f``.
+    Without ``laurent=True`` a negative exponent raises ``ValueError``.
     """
     names = tuple(vars)
     index = {name: i for i, name in enumerate(names)}

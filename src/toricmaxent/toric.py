@@ -28,8 +28,6 @@ from .ratpoly import LEX, Exponents, MonomialOrder, Polynomial, _lcm, _PairQueue
 __all__ = [
     "ConstraintMatrix",
     "DistributionVector",
-    "LatticeBasis",
-    "BinomialGenerators",
     "MembershipReport",
     "toric_param",
     "integer_kernel_basis",
@@ -154,32 +152,6 @@ class DistributionVector:
 
 
 @dataclass(frozen=True)
-class LatticeBasis:
-    """Basis of the integer kernel of a constraint matrix."""
-
-    vectors: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-
-@dataclass(frozen=True)
-class BinomialGenerators:
-    """Generators of a toric ideal; every element is a monic binomial."""
-
-    binomials: tuple[Polynomial, ...]
-
-    def __len__(self) -> int:
-        return len(self.binomials)
-
-    def __iter__(self):
-        return iter(self.binomials)
-
-
-@dataclass(frozen=True)
 class MembershipReport:
     member: bool
     max_residual: float
@@ -235,10 +207,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def integer_kernel_basis(matrix: ConstraintMatrix) -> LatticeBasis:
-    """Basis of ``{u integer : A u = 0}`` via unimodular column reduction.
+def integer_kernel_basis(matrix: ConstraintMatrix) -> tuple[tuple[int, ...], ...]:
+    """Basis vectors of ``{u integer : A u = 0}`` via unimodular column reduction.
 
-    The count of basis vectors equals ``m - rank(A)``.
+    The count of basis vectors equals ``m - rank(A)``; each vector's first
+    nonzero entry is positive.
     """
     d, m = matrix.d, matrix.m
     work = [list(row) for row in matrix.rows]
@@ -281,7 +254,7 @@ def integer_kernel_basis(matrix: ConstraintMatrix) -> LatticeBasis:
         if lead < 0:
             vec = tuple(-v for v in vec)
         vectors.append(vec)
-    return LatticeBasis(tuple(vectors))
+    return tuple(vectors)
 
 
 def _binomial_groebner(
@@ -350,8 +323,11 @@ def _shorten(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return basis
 
 
-def toric_ideal_generators(matrix: ConstraintMatrix) -> BinomialGenerators:
+def toric_ideal_generators(matrix: ConstraintMatrix) -> tuple[Polynomial, ...]:
     """Reduced lex generators of the toric ideal of ``A`` in variables ``p1..pm``.
+
+    Returns the monic binomials of the reduced basis in ascending order of
+    leading terms; ``()`` when the kernel of ``A`` is zero.
 
     The ideal is the saturation of the lattice-basis ideal by the product of
     the coordinates, computed on binomials one coordinate at a time
@@ -373,17 +349,16 @@ def toric_ideal_generators(matrix: ConstraintMatrix) -> BinomialGenerators:
       saturation by ``p_k``.  ``t`` needs no step, since setting ``t = 1``
       maps an ideal and its saturation by ``t`` to the same ideal.
     - *Finish in lex.*  Set ``t = 1`` and run :func:`buchberger` under lex
-      once.  It returns the unique reduced basis, in ascending order of
-      leading terms.
+      once.  It returns the unique reduced basis.
     """
     if matrix.m > MAX_IDEAL_ALPHABET:
         raise SizeLimitError(
             f"alphabet size {matrix.m} exceeds the exact-ideal limit {MAX_IDEAL_ALPHABET}"
         )
     m = matrix.m
-    lattice = [u + (-sum(u),) for u in _shorten(integer_kernel_basis(matrix).vectors)]
+    lattice = [u + (-sum(u),) for u in _shorten(integer_kernel_basis(matrix))]
     if not lattice:
-        return BinomialGenerators(())
+        return ()
 
     gens = [(tuple(max(v, 0) for v in u), tuple(max(-v, 0) for v in u)) for u in lattice]
     for k in range(m):
@@ -397,7 +372,7 @@ def toric_ideal_generators(matrix: ConstraintMatrix) -> BinomialGenerators:
         gens = saturated
     pvars = tuple(f"p{j + 1}" for j in range(m))
     polys = [Polynomial(pvars, {a[:m]: 1, b[:m]: -1}) for a, b in gens]
-    return BinomialGenerators(buchberger(polys, LEX).basis)
+    return buchberger(polys, LEX).basis
 
 
 def verify_model_membership(

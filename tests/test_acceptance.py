@@ -123,7 +123,7 @@ def test_04_two_sample_empirical_path_is_exact():
 
 
 def test_05_independence_ideal_is_the_single_quadric():
-    gens = toric_ideal_generators(INDEPENDENCE).binomials
+    gens = toric_ideal_generators(INDEPENDENCE)
     assert len(gens) == 1
     vars = gens[0].vars
     quadric = parse_poly("p1*p4 - p2*p3", vars)

@@ -58,12 +58,12 @@ def write_json(tmp_path):
 
 def test_parse_rational_string_target():
     parsed = parse_problem(json.dumps(DICE))
-    assert parsed.constraints[0].target == Fraction(9, 2)
+    assert parsed.targets[0] == Fraction(9, 2)
 
 
 def test_parse_decimal_target_is_exact():
     parsed = parse_problem('{"m":3,"constraints":[{"name":"t","values":[0,1,2],"target":0.1}]}')
-    assert parsed.constraints[0].target == Fraction(1, 10)
+    assert parsed.targets[0] == Fraction(1, 10)
 
 
 def test_parse_sample_mode():
@@ -160,7 +160,7 @@ def test_parse_accepts_every_prior_weight_form():
     assert parse_problem(_doc(prior=[1, 2, 3])).prior == (1, 2, 3)
     parsed = parse_problem(_doc(samples=[3, 1, 3]))
     assert parsed.samples == (3, 1, 3)
-    assert parsed.constraints[0].values == (0, 1, 2)
+    assert parsed.rows[0] == (0, 1, 2)
 
 
 # --- fit command ---

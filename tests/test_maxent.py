@@ -379,6 +379,20 @@ def test_unknown_solver_rejected():
         fit_numeric(dice_problem(Fraction(9, 2)), solver="annealing")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_float_target_is_an_input_error(bad):
+    with pytest.raises(ValueError, match="targets must be finite"):
+        MaxEntProblem.from_targets(QUAD, [bad])
+    with pytest.raises(ValueError, match="targets must be finite"):
+        MaxEntProblem.from_targets(ConstraintMatrix([[0, 1, 2], [1, 0, 0]]), [1.0, bad])
+
+
+def test_exact_targets_of_any_size_are_accepted():
+    huge = 10**400  # beyond float range; only the float conversion of a numeric fit rejects it
+    assert MaxEntProblem.from_targets(QUAD, [huge]).targets == (huge,)
+    assert MaxEntProblem.from_targets(QUAD, [Fraction(huge, 3)]).targets == (Fraction(huge, 3),)
+
+
 def test_infeasible_target_raises_for_both_solvers():
     for solver in ("newton", "gis"):
         with pytest.raises(InfeasibleMomentsError):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricmaxent import ratpoly
-from toricmaxent.maxent import direct_system
+from toricmaxent.maxent import PolySystem, direct_system, solve_algebraic
 from toricmaxent.ratpoly import (
     GREVLEX,
     LEX,
@@ -64,6 +64,7 @@ def test_equality_ignores_laurent_flag():
     a = Polynomial(XY, {(1, 1): 3})
     b = Polynomial(XY, {(1, 1): 3}, laurent=True)
     assert a == b
+    assert not hasattr(b, "laurent")  # Laurent-ness is read from the exponents, never stored
 
 
 def test_coefficients_coerced_to_fraction():
@@ -234,6 +235,40 @@ def test_division_identity_random():
 def test_normal_form_of_member_is_zero():
     g = p2("x^2 + y")
     assert normal_form(p2("x^2*y + y^2 + x^2 + y"), [g], LEX) == Polynomial.zero(XY)
+
+
+def test_division_reads_laurent_from_exponents_not_the_construction_flag():
+    # built with laurent=True but no negative exponent: an ordinary polynomial
+    flagged = Polynomial(("x",), {(2,): 1, (0,): -1}, laurent=True)
+    plain = Polynomial(("x",), {(2,): 1, (0,): -1})
+    divisor = parse_poly("x - 1", ("x",))
+    gb = buchberger([plain], LEX)
+    assert flagged == plain and hash(flagged) == hash(plain)
+    assert gb.reduces_to_zero(flagged) is gb.reduces_to_zero(plain) is True
+    assert normal_form(flagged, [divisor], LEX) == normal_form(plain, [divisor], LEX) == Polynomial.zero(("x",))
+    assert multivariate_divide(flagged, [divisor], LEX) == multivariate_divide(plain, [divisor], LEX)
+    assert multivariate_divide(divisor, [flagged], LEX) == multivariate_divide(divisor, [plain], LEX)
+    assert buchberger([flagged], LEX) == gb
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, g: normal_form(f, [g], LEX),
+        lambda f, g: normal_form(g, [f], LEX),
+        lambda f, g: multivariate_divide(f, [g], LEX),
+        lambda f, g: multivariate_divide(g, [f], LEX),
+        lambda f, g: buchberger([g], LEX).reduces_to_zero(f),
+        lambda f, g: buchberger([g, f], LEX),
+        lambda f, g: solve_algebraic(PolySystem((g, f), "direct")),
+    ],
+    ids=["normal_form", "normal_form-divisor", "divide", "divide-divisor", "reduces_to_zero", "buchberger", "solve_algebraic"],
+)
+def test_negative_exponent_is_rejected_by_every_ordinary_ring_operation(call):
+    laurent = Polynomial(("t1",), {(1,): 1, (-1,): -2}, laurent=True)
+    ordinary = parse_poly("t1^2 - 2", ("t1",))
+    with pytest.raises(ValueError, match="^Laurent input; clear denominators first$"):
+        call(laurent, ordinary)
 
 
 def test_s_polynomial_cancels_leading_terms():
@@ -511,8 +546,8 @@ def test_s_polynomial_is_classical_on_monic_input_and_a_multiple_otherwise():
 
 
 def test_s_polynomial_keeps_integer_coefficients_integral():
-    f = Polynomial._raw(XY, {(2, 1): 6, (0, 0): -4}, False)
-    g = Polynomial._raw(XY, {(1, 2): 4, (1, 0): 3}, False)
+    f = Polynomial._raw(XY, {(2, 1): 6, (0, 0): -4})
+    g = Polynomial._raw(XY, {(1, 2): 4, (1, 0): 3})
     s = s_polynomial(f, g, LEX)
     # lc 6 and 4: k = 2, so 2*y*f - 3*x*g
     assert s.terms == {(2, 0): -9, (0, 1): -8}
@@ -527,7 +562,7 @@ def test_laurent_clear_single_variable():
     shift, cleared = laurent_clear(f)
     assert shift == (1,)
     assert cleared == parse_poly("t^2 + 1", ("t",))
-    assert not cleared.laurent
+    assert all(e >= 0 for exps in cleared.terms for e in exps)
 
 
 def test_laurent_clear_no_negative_exponents_is_identity():
