@@ -9,7 +9,10 @@ A numeric fit of a valid document loops over the alphabet only in C.
 Each array field (``values``, ``samples``, ``prior``) is validated in one
 pass of ``set(map(type, xs))`` with ``min`` and ``max``; only when that
 fails is the field scanned again in order, so the message names the first
-bad index.  A list of Python floats is emitted by one ``%`` call.
+bad index.  A list of Python floats is emitted by one ``%`` call.  A fitted
+``p`` is emitted from the float array of ``DistributionVector.to_array()``;
+when it is long and at least half its entries repeat, as in a toric model
+with few distinct columns and weights, each distinct value is formatted once.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import json
+
+import numpy as np
 
 from .errors import (
     InfeasibleMomentsError,
@@ -184,10 +189,44 @@ def _format_real(x: float) -> str:
     return _REAL_FORMAT % float(x)
 
 
+# Below this length, sorting and gathering cost more than formatting every entry.
+_GATHER_MIN = 32
+
+
+def _format_floats(values, sep: str) -> str:
+    return sep.join([_REAL_FORMAT] * len(values)) % tuple(values)
+
+
+def _join_array(arr: np.ndarray, sep: str) -> str:
+    """``%.17g`` of each entry of a float64 array, joined by ``sep``.
+
+    Entries are keyed by bit pattern, so ``0.0`` and ``-0.0`` stay apart and
+    every NaN prints as itself.  When the array has at least
+    ``_GATHER_MIN`` entries and at least half of them repeat, each distinct
+    value is formatted once and the texts are gathered by index; otherwise
+    the whole array takes one ``%`` call.
+    """
+    if len(arr) >= _GATHER_MIN:
+        bits = arr.view(np.uint64)
+        # sort and compare neighbours: np.unique takes over ten times as long on 10^5 keys
+        ordered = np.sort(bits)
+        fresh = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+        distinct = ordered[fresh]
+        if 2 * len(distinct) <= len(arr):
+            # no ``%.17g`` text contains a space, so splitting on ``sep`` recovers each one
+            texts = np.array(_format_floats(distinct.view(np.float64).tolist(), sep).split(sep), dtype=object)
+            return sep.join(texts[np.searchsorted(distinct, bits)].tolist())
+    return _format_floats(arr.tolist(), sep)
+
+
 def _join(values, sep: str, item) -> str:
-    """``item`` of each value joined by ``sep``; a list of Python floats takes one ``%`` call."""
+    """``item`` of each value joined by ``sep``; a list of Python floats takes one ``%`` call.
+
+    Float arrays, such as a fitted ``p``, go to :func:`_join_array` instead.
+    """
     if set(map(type, values)) == {float}:
-        return sep.join([_REAL_FORMAT] * len(values)) % tuple(values)
+        return _format_floats(values, sep)
     return sep.join(map(item, values))
 
 
@@ -204,6 +243,8 @@ def _to_json(value) -> str:
         return str(value)
     if isinstance(value, float):
         return _format_real(value)
+    if isinstance(value, np.ndarray):
+        return "[" + _join_array(value, ", ") + "]"
     if isinstance(value, (list, tuple)):
         return "[" + _join(value, ", ", _to_json) + "]"
     if isinstance(value, dict):
@@ -221,6 +262,8 @@ def _emit(out, payload: dict, fmt: str) -> None:
     for key, value in payload.items():
         if isinstance(value, float):
             out.write(f"{key}: {_format_real(value)}\n")
+        elif isinstance(value, np.ndarray):
+            out.write(f"{key}: {_join_array(value, ' ')}\n")
         elif isinstance(value, (list, tuple)):
             if all(isinstance(v, str) for v in value):
                 for v in value:
@@ -272,7 +315,7 @@ def _fit_payload(result) -> dict:
     payload = {"solver": result.solver, "iterations": result.iterations, "xi": result.xi}
     if result.xi_empirical is not None:
         payload["xi_empirical"] = result.xi_empirical
-    payload.update({"p": result.p.probs, "logZ": result.log_z, "residual": result.residual})
+    payload.update({"p": result.p.to_array(), "logZ": result.log_z, "residual": result.residual})
     return payload
 
 

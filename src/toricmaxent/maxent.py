@@ -215,7 +215,7 @@ def model_distribution(
     if xi.shape != (matrix.d,):
         raise ValueError("xi length does not match constraint count")
     p, log_z = _normalize(np.log(_prior_floats(matrix, prior)) - xi @ arr)
-    return DistributionVector(tuple(p.tolist())), log_z
+    return DistributionVector(p), log_z
 
 
 def moments(matrix: ConstraintMatrix, p: Sequence) -> tuple[float, ...]:
@@ -465,7 +465,7 @@ def fit_numeric(
 
 def _package_fit(problem, arr, h, targets, xi, iterations, solver) -> FitResult:
     p, log_z = model_distribution(problem.matrix, xi, h)
-    residual = float(np.max(np.abs(arr @ np.asarray(p.probs) - targets)))
+    residual = float(np.max(np.abs(arr @ p.to_array() - targets)))
     xi_empirical = None
     if problem.samples is not None:
         xi_empirical = tuple(float(v) / problem.samples.count for v in xi)
@@ -493,7 +493,8 @@ def fit_algebraic(problem: MaxEntProblem) -> FitResult:
     if not solutions:
         raise InfeasibleMomentsError("direct system has no positive solution")
     theta = solutions[0]
-    xi = np.array([-math.log(float(t)) for t in theta])
+    # 0.0 - ln 1 is 0.0, where -ln 1 would be -0.0 and print as -0
+    xi = np.array([0.0 - math.log(float(t)) for t in theta])
     arr = problem.matrix.to_array()
     h = _prior_floats(problem.matrix, problem.prior)
     return _package_fit(problem, arr, h, _as_floats(targets, "targets"), xi, 0, "groebner")

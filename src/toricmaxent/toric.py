@@ -115,24 +115,41 @@ def _exact(probs: tuple) -> bool:
 
 @dataclass(frozen=True)
 class DistributionVector:
-    """Point of the probability simplex; float or exact rational entries."""
+    """Point of the probability simplex; float or exact rational entries.
+
+    ``probs`` may also be given as a 1-D float array: it is checked in
+    vectorized passes, kept (copied, read-only) for :meth:`to_array`, and
+    its entries become the tuple ``probs``.
+    """
 
     probs: tuple
 
     def __post_init__(self) -> None:
-        probs = tuple(self.probs)
+        array = isinstance(self.probs, np.ndarray)
+        if array:
+            arr = np.array(self.probs, dtype=float)
+            if arr.ndim != 1:
+                raise ValueError("distribution array must be one-dimensional")
+            arr.flags.writeable = False
+            object.__setattr__(self, "_floats", arr)
+            probs = arr.tolist()
+        else:
+            probs = tuple(self.probs)
         if not probs:
             raise ValueError("empty distribution")
         # one pass: NaN fails ``>= 0`` as a negative entry does; +inf fails the sum
-        if not all(map(ge, probs, repeat(0))):
-            raise ValueError("negative probability" if any(map(lt, probs, repeat(0))) else "probability is not a number")
+        nonnegative = (arr >= 0).all() if array else all(map(ge, probs, repeat(0)))
+        if not nonnegative:
+            negative = (arr < 0).any() if array else any(map(lt, probs, repeat(0)))
+            raise ValueError("negative probability" if negative else "probability is not a number")
+        # left to right over Python floats for arrays too: an array and its tuple get one total
         total = sum(probs)
-        if _exact(probs):
+        if not array and _exact(probs):
             if total != 1:
                 raise ValueError(f"exact distribution sums to {total}, not 1")
         elif abs(float(total) - 1.0) > 1e-12:
             raise ValueError(f"distribution sums to {float(total)!r}, not 1")
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", tuple(probs))
 
     @property
     def exact(self) -> bool:
@@ -140,6 +157,16 @@ class DistributionVector:
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(x) for x in self.probs)
+
+    @cached_property
+    def _floats(self) -> np.ndarray:
+        arr = _as_floats(self.probs, "probabilities")
+        arr.flags.writeable = False
+        return arr
+
+    def to_array(self) -> np.ndarray:
+        """The entries as a read-only float array: the array given, else converted on first use."""
+        return self._floats
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -177,7 +204,7 @@ def toric_param(matrix: ConstraintMatrix, theta: Sequence, h: Sequence | None = 
         raise ValueError("weights must be strictly positive and finite")
     if not all(isinstance(x, (int, Fraction)) for x in (*theta, *h)):
         logw = np.log(_as_floats(h, "weights")) + np.log(_as_floats(theta, "parameters")) @ matrix.to_array()
-        return DistributionVector(tuple(_normalize(logw)[0].tolist()))
+        return DistributionVector(_normalize(logw)[0])
     theta = [Fraction(t) for t in theta]
     h = [Fraction(w) for w in h]
     weights = []

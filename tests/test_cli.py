@@ -11,8 +11,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricmaxent.cli import InputError, _emit, main, parse_problem
+from toricmaxent.maxent import fit_numeric
 from toricmaxent.ratpoly import parse_poly, poly_to_text
 
 DICE = {"m": 6, "constraints": [{"name": "mean", "values": [1, 2, 3, 4, 5, 6], "target": "9/2"}]}
@@ -223,6 +226,21 @@ def test_fit_sample_problem_reports_empirical_exponents(write_json):
     result = json.loads(out)
     assert result["xi_empirical"] == pytest.approx([0.0])
     assert result["p"] == pytest.approx([0.5, 0.5])
+
+
+@pytest.mark.parametrize("doc", [QUAD, {"m": 3, "constraints": [{"name": "t", "values": [0, 1, 2]}], "samples": [1, 2, 3]}])
+def test_groebner_and_newton_print_the_same_zero_multiplier(write_json, doc):
+    # theta = 1 solves both problems, and -ln 1 is -0.0
+    path = write_json(doc)
+    lines = {}
+    for solver in ("groebner", "newton"):
+        code, out, _ = run(["fit", path, "--solver", solver])
+        assert code == 0
+        lines[solver] = [line for line in out.splitlines() if line.startswith("xi")]
+    assert lines["groebner"] == lines["newton"]
+    assert lines["newton"][0] == "xi: 0"
+    if "samples" in doc:
+        assert lines["newton"][1] == "xi_empirical: 0"
 
 
 def test_fit_reads_problem_from_stdin():
@@ -862,6 +880,69 @@ def test_emit_bytes_of_edge_values(case):
         out = io.StringIO()
         _emit(out, payload, fmt)
         assert out.getvalue() == expected
+
+
+def _emitted(payload, fmt) -> str:
+    out = io.StringIO()
+    _emit(out, payload, fmt)
+    return out.getvalue()
+
+
+def _reference_floats(values, sep) -> str:
+    return sep.join("%.17g" % x for x in values)
+
+
+# Bit patterns cover 0.0 and -0.0, NaNs of any sign and payload, +-inf and
+# subnormals; ``repeats`` draws entries from a pool smaller than the array.
+_BIT_PATTERNS = st.one_of(
+    st.sampled_from([0, 1 << 63, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000001, 1]),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@st.composite
+def _float_arrays(draw):
+    pool = draw(st.lists(_BIT_PATTERNS, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 200))
+        bits = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    else:
+        bits = pool
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_arrays())
+def test_emitted_float_array_equals_the_formatted_join(arr):
+    assert _emitted({"p": arr}, "json") == '{"p": [' + _reference_floats(arr.tolist(), ", ") + "]}\n"
+    assert _emitted({"p": arr}, "text") == "p: " + _reference_floats(arr.tolist(), " ") + "\n"
+
+
+@pytest.mark.parametrize("values", [
+    ([0.25] * 7 + [-0.0, 0.0, -0.0]) * 4,
+    [math.nan, -math.nan, math.inf, -math.inf, math.nan, 0.5, 0.5, 0.5] * 5,
+    [1 / 3],
+    [-0.0, 0.0] * 3,
+    [0.1 * k for k in range(50)],
+])
+def test_emitted_float_array_edge_cases(values):
+    arr = np.array(values)
+    assert _emitted({"p": arr}, "json") == _emitted({"p": values}, "json")
+    assert _emitted({"p": arr}, "text") == _emitted({"p": values}, "text")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_large_fit_p_field_is_the_formatted_join(write_json, fmt):
+    doc = _large_problem(3, 10_000, 3, "prior")
+    code, out, err = run(["fit", write_json(doc), "--format", fmt])
+    assert (code, err) == (0, "")
+    probs = fit_numeric(parse_problem(json.dumps(doc)).to_problem()).p.probs
+    # at most one value per column and prior weight, so each is formatted once
+    assert len(set(probs)) <= 5**3 * 3
+    if fmt == "json":
+        assert f'"p": [{_reference_floats(probs, ", ")}]' in out
+    else:
+        assert f"\np: {_reference_floats(probs, ' ')}\n" in out
 
 
 # --- numbers beyond float range ---

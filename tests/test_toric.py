@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from operator import mul
 
+import numpy as np
 import pytest
 
 from toricmaxent.errors import SizeLimitError
@@ -103,6 +104,38 @@ def test_distribution_rejects_non_finite_entries():
 def test_distribution_float_sum_tolerance():
     third = 1.0 / 3.0
     DistributionVector((third, third, 1.0 - 2.0 * third))
+
+
+@pytest.mark.parametrize("probs, message", [
+    ((), "empty distribution"),
+    ((-0.25, 1.25), "negative probability"),
+    ((float("nan"), 1.0), "probability is not a number"),
+    ((float("nan"), -0.5, 1.5), "negative probability"),
+    ((0.5, 0.5 + 2e-12), "distribution sums to 1.000000000002, not 1"),
+])
+def test_distribution_array_is_rejected_as_its_tuple(probs, message):
+    for given in (probs, np.array(probs, dtype=float)):
+        with pytest.raises(ValueError) as info:
+            DistributionVector(given)
+        assert str(info.value) == message
+
+
+def test_distribution_array_is_accepted_as_its_tuple():
+    probs = (0.1, 0.2, 0.3, 0.4 + 5e-13)
+    source = np.array(probs)
+    from_array, from_tuple = DistributionVector(source), DistributionVector(probs)
+    assert from_array == from_tuple
+    assert type(from_array.probs) is tuple and not from_array.exact
+    source[0] = 0.5
+    for p in (from_array, from_tuple, DistributionVector((Fraction(1, 4), Fraction(3, 4)))):
+        arr = p.to_array()
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert arr.tolist() == [float(x) for x in p.probs]
+        assert p.to_array() is arr
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    with pytest.raises(ValueError, match="one-dimensional"):
+        DistributionVector(np.full((2, 2), 0.25))
 
 
 # --- integer kernel ---
