@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import gt
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +26,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .ratpoly import LEX, Polynomial, _reject_laurent, buchberger, laurent_clear
-from .toric import ConstraintMatrix, DistributionVector, _as_floats, _normalize, _prior_floats
+from .toric import ConstraintMatrix, DistributionVector, _as_floats, _check_weights, _exact_weights, _normalize, _prior_floats
 
 __all__ = [
     "DEFAULT_TOL",
@@ -94,10 +92,7 @@ class MaxEntProblem:
             object.__setattr__(self, "targets", targets)
         if self.prior is not None:
             prior = tuple(self.prior)
-            if len(prior) != self.matrix.m:
-                raise ValueError("prior length does not match alphabet size")
-            if not all(map(gt, prior, repeat(0))):
-                raise ValueError("prior weights must be strictly positive")
+            _check_weights(prior, self.matrix.m)
             object.__setattr__(self, "prior", prior)
 
     @classmethod
@@ -211,7 +206,7 @@ def model_distribution(
     and never cached.
     """
     arr = matrix.to_array()
-    xi = np.asarray([float(v) for v in xi])
+    xi = _as_floats(xi, "multipliers")
     if xi.shape != (matrix.d,):
         raise ValueError("xi length does not match constraint count")
     p, log_z = _normalize(np.log(_prior_floats(matrix, prior)) - xi @ arr)
@@ -220,7 +215,7 @@ def model_distribution(
 
 def moments(matrix: ConstraintMatrix, p: Sequence) -> tuple[float, ...]:
     """Constraint expectations ``A @ p``."""
-    vec = np.asarray([float(x) for x in p])
+    vec = _as_floats(p, "probabilities")
     if vec.shape != (matrix.m,):
         raise ValueError("distribution length does not match alphabet size")
     return tuple(float(v) for v in matrix.to_array() @ vec)
@@ -237,17 +232,6 @@ def sample_sums(observations: Sequence[int], matrix: ConstraintMatrix) -> Sample
     index = [o - 1 for o in obs]
     sums = tuple(sum(map(row.__getitem__, index)) for row in matrix.rows)
     return SampleData(obs, len(obs), sums)
-
-
-def _exact_weights(matrix: ConstraintMatrix, prior: Sequence | None) -> list[Fraction]:
-    if prior is None:
-        return [Fraction(1)] * matrix.m
-    if len(prior) != matrix.m:
-        raise ValueError("prior length does not match alphabet size")
-    weights = [Fraction(w) for w in prior]
-    if any(w <= 0 for w in weights):
-        raise ValueError("prior weights must be strictly positive")
-    return weights
 
 
 def _laurent_sum(d: int, terms) -> Polynomial:
@@ -331,13 +315,6 @@ def _fit_gis(arr, h, targets, tol, max_iter):
     cap = col_sums.max()
 
     log_h = np.log(h)
-    if cap == 0.0:
-        # all constraint rows constant: the model is just the prior
-        p = h / h.sum()
-        if np.max(np.abs(arr @ p - targets)) > tol:
-            raise InfeasibleMomentsError("constant constraints conflict with their targets")
-        return np.zeros(d), 0
-
     active = shifted.max(axis=1) > 0
     if np.any(~active & (np.abs(shifted_targets) > tol)):
         raise InfeasibleMomentsError("constant constraint row conflicts with its target")

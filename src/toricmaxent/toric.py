@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, repeat
-from operator import ge, index as as_int, le, lt, mul
+from operator import index as as_int, le, lt, mul
 from typing import Sequence
 
 import numpy as np
@@ -88,16 +88,39 @@ def _as_floats(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} are too large for a float") from None
 
 
+def _check_weights(weights, m: int) -> None:
+    """Reject a prior that is not ``m`` strictly positive, finite weights.
+
+    Weights are compared, never converted, so an exact weight beyond float
+    range passes; a float array is checked in one vectorized pass.  Exact
+    weights are finite by type.  NaN fails ``0 < w``, so the maximum taken
+    after that pass is well-defined.
+    """
+    if len(weights) != m or getattr(weights, "ndim", 1) != 1:
+        raise ValueError("prior length does not match alphabet size")
+    if isinstance(weights, np.ndarray):
+        valid = bool(((weights > 0) & (weights < math.inf)).all())
+    else:
+        valid = all(map(lt, repeat(0), weights)) and (_exact(weights) or max(weights) < math.inf)
+    if not valid:
+        raise ValueError("prior weights must be strictly positive and finite")
+
+
 def _prior_floats(matrix: ConstraintMatrix, prior: Sequence | None) -> np.ndarray:
     """Float weights ``h`` of a prior on the alphabet; unit weights when omitted."""
     if prior is None:
         return np.ones(matrix.m)
     h = _as_floats(prior, "prior weights")
-    if h.shape != (matrix.m,):
-        raise ValueError("prior length does not match alphabet size")
-    if not np.all(h > 0):
-        raise ValueError("prior weights must be strictly positive")
+    _check_weights(h, matrix.m)
     return h
+
+
+def _exact_weights(matrix: ConstraintMatrix, prior: Sequence | None) -> list[Fraction]:
+    """Exact weights ``h`` of a prior on the alphabet; unit weights when omitted."""
+    if prior is None:
+        return [Fraction(1)] * matrix.m
+    _check_weights(prior, matrix.m)
+    return [Fraction(w) for w in prior]
 
 
 def _normalize(logw: np.ndarray) -> tuple[np.ndarray, float]:
@@ -117,39 +140,47 @@ def _exact(probs: tuple) -> bool:
 class DistributionVector:
     """Point of the probability simplex; float or exact rational entries.
 
-    ``probs`` may also be given as a 1-D float array: it is checked in
-    vectorized passes, kept (copied, read-only) for :meth:`to_array`, and
-    its entries become the tuple ``probs``.
+    A tuple of exact rationals (``int`` or ``Fraction``) is checked exactly
+    and stays exact.  Any other input, a tuple with a float entry or a 1-D
+    float array, is copied to a float array and checked in vectorized
+    passes, and its entries become the Python floats of ``probs``.  Either
+    way the float array is built once, at construction, and kept read-only
+    for :meth:`to_array`.
     """
 
     probs: tuple
 
     def __post_init__(self) -> None:
-        array = isinstance(self.probs, np.ndarray)
-        if array:
-            arr = np.array(self.probs, dtype=float)
-            if arr.ndim != 1:
-                raise ValueError("distribution array must be one-dimensional")
-            arr.flags.writeable = False
-            object.__setattr__(self, "_floats", arr)
-            probs = arr.tolist()
-        else:
-            probs = tuple(self.probs)
-        if not probs:
-            raise ValueError("empty distribution")
-        # one pass: NaN fails ``>= 0`` as a negative entry does; +inf fails the sum
-        nonnegative = (arr >= 0).all() if array else all(map(ge, probs, repeat(0)))
-        if not nonnegative:
-            negative = (arr < 0).any() if array else any(map(lt, probs, repeat(0)))
-            raise ValueError("negative probability" if negative else "probability is not a number")
-        # left to right over Python floats for arrays too: an array and its tuple get one total
-        total = sum(probs)
-        if not array and _exact(probs):
+        probs = self.probs if isinstance(self.probs, np.ndarray) else tuple(self.probs)
+        if isinstance(probs, tuple) and _exact(probs):
+            if not probs:
+                raise ValueError("empty distribution")
+            if any(map(lt, probs, repeat(0))):
+                raise ValueError("negative probability")
+            total = sum(probs)
             if total != 1:
                 raise ValueError(f"exact distribution sums to {total}, not 1")
-        elif abs(float(total) - 1.0) > 1e-12:
-            raise ValueError(f"distribution sums to {float(total)!r}, not 1")
-        object.__setattr__(self, "probs", tuple(probs))
+            arr = _as_floats(probs, "probabilities")
+        else:
+            arr = _as_floats(probs, "probabilities")
+            if arr is probs:  # keep a copy: the caller may write to its array later
+                arr = arr.copy()
+            if arr.ndim != 1:
+                raise ValueError("distribution array must be one-dimensional")
+            if not arr.size:
+                raise ValueError("empty distribution")
+            # one pass: NaN fails ``>= 0`` as a negative entry does; +inf fails the sum
+            if not (arr >= 0).all():
+                raise ValueError("negative probability" if (arr < 0).any() else "probability is not a number")
+            # left to right over Python floats: the total a tuple of the same floats has
+            probs = arr.tolist()
+            total = sum(probs)
+            if abs(total - 1.0) > 1e-12:
+                raise ValueError(f"distribution sums to {total!r}, not 1")
+            probs = tuple(probs)
+        arr.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_floats", arr)
 
     @property
     def exact(self) -> bool:
@@ -158,14 +189,8 @@ class DistributionVector:
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(x) for x in self.probs)
 
-    @cached_property
-    def _floats(self) -> np.ndarray:
-        arr = _as_floats(self.probs, "probabilities")
-        arr.flags.writeable = False
-        return arr
-
     def to_array(self) -> np.ndarray:
-        """The entries as a read-only float array: the array given, else converted on first use."""
+        """The entries as a read-only float array, built at construction."""
         return self._floats
 
     def __len__(self) -> int:
@@ -196,17 +221,11 @@ def toric_param(matrix: ConstraintMatrix, theta: Sequence, h: Sequence | None = 
         raise ValueError("theta length does not match matrix rows")
     if any(not 0 < t < math.inf for t in theta):
         raise ValueError("theta must be strictly positive and finite")
-    if h is None:
-        h = [1] * matrix.m
-    if len(h) != matrix.m:
-        raise ValueError("weight length does not match alphabet size")
-    if any(not 0 < w < math.inf for w in h):
-        raise ValueError("weights must be strictly positive and finite")
-    if not all(isinstance(x, (int, Fraction)) for x in (*theta, *h)):
-        logw = np.log(_as_floats(h, "weights")) + np.log(_as_floats(theta, "parameters")) @ matrix.to_array()
+    if not all(isinstance(x, (int, Fraction)) for x in (*theta, *(() if h is None else h))):
+        logw = np.log(_prior_floats(matrix, h)) + np.log(_as_floats(theta, "parameters")) @ matrix.to_array()
         return DistributionVector(_normalize(logw)[0])
     theta = [Fraction(t) for t in theta]
-    h = [Fraction(w) for w in h]
+    h = _exact_weights(matrix, h)
     weights = []
     for j in range(matrix.m):
         w = h[j]
@@ -414,7 +433,7 @@ def verify_model_membership(
     or ``h`` leaves them unchanged.  A zero entry has no logarithm: it is
     left out of the fit, reads residual 0, and puts the point off the model.
     """
-    point = np.array([float(x) for x in p])
+    point = _as_floats(p, "probabilities")
     if point.shape != (matrix.m,):
         raise ValueError("distribution length does not match alphabet size")
     h = _prior_floats(matrix, prior)

@@ -145,6 +145,13 @@ PARSE_ERRORS = {
     "zero denominator": (_doc(prior=["1/0", 1, 1]), "prior[0]: cannot parse '1/0' as a rational"),
     "bool weight": (_doc(prior=[1, 1, False]), "prior[2]: expected a number, got a boolean"),
     "null weight": (_doc(prior=[1, None, 1]), "prior[1]: expected a number or 'a/b' string"),
+    "top level array": ("[]", "top level: expected an object"),
+    "m of 1": ('{"m": 1, "constraints": [{"name": "t", "values": [0], "target": 0}]}', "m: expected an integer >= 2"),
+    "empty constraints": ('{"m": 3, "constraints": []}', "constraints: expected a nonempty array"),
+    "empty samples": (_doc(samples=[]), "samples: expected a nonempty array"),
+    "constraint not an object": ('{"m": 3, "constraints": [[0, 1, 2]]}', "constraints[0]: expected an object"),
+    "empty name": (_doc().replace('"name": "t"', '"name": ""'), "constraints[0].name: expected a nonempty string"),
+    "prior length": (_doc(prior=[1, 2]), "prior: expected an array of length 3"),
 }
 
 
@@ -154,6 +161,7 @@ def test_parse_error_names_the_first_bad_index(case):
     with pytest.raises(InputError) as exc:
         parse_problem(text)
     assert str(exc.value) == message
+    assert run(["fit", "-"], stdin=text) == (2, "", f"error: {message}\n")
 
 
 def test_parse_accepts_every_prior_weight_form():
@@ -1006,6 +1014,27 @@ def test_distribution_entry_beyond_float_range_exits_two(tmp_path, command, entr
     dist.write_text(f"[{entry}, 0, 0]")
     code, out, err = run([command, _write_text(tmp_path, QUAD), "--dist", str(dist)])
     assert (code, out, err) == (2, "", "error: distribution file: p[0] is too large for a float\n")
+
+
+DIST_ERRORS = {
+    "invalid json": ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    "no p field": ('{"q": []}', "expected an array or an object with a 'p' field"),
+    "wrong length": ("[0.5, 0.5]", "expected 3 probabilities, got 2"),
+    "string entry": ('["x", 0.5, 0.5]', "p[0] is not a number"),
+}
+# check reads a negative entry as a point off the model; entropy rejects it
+DIST_CASES = [(command, case) for case in DIST_ERRORS for command in ("check", "entropy")]
+DIST_ERRORS["negative entry"] = ("[-0.5, 1, 0.5]", "negative probability")
+DIST_CASES.append(("entropy", "negative entry"))
+
+
+@pytest.mark.parametrize("command, case", DIST_CASES)
+def test_bad_distribution_file_exits_two(tmp_path, command, case):
+    text, message = DIST_ERRORS[case]
+    dist = tmp_path / "p.json"
+    dist.write_text(text)
+    code, out, err = run([command, _write_text(tmp_path, QUAD), "--dist", str(dist)])
+    assert (code, out, err) == (2, "", f"error: distribution file: {message}\n")
 
 
 def test_emitted_polynomials_reparse_equal(write_json):

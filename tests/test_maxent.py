@@ -31,7 +31,7 @@ from toricmaxent.maxent import (
     solve_algebraic,
 )
 from toricmaxent.ratpoly import Polynomial, parse_poly, poly_to_text
-from toricmaxent.toric import ConstraintMatrix, toric_param
+from toricmaxent.toric import ConstraintMatrix, toric_param, verify_model_membership
 
 DICE = ConstraintMatrix([[1, 2, 3, 4, 5, 6]])
 QUAD = ConstraintMatrix([[0, 1, 2]])
@@ -134,6 +134,36 @@ def test_problem_validates_shapes():
         MaxEntProblem.from_targets(DICE, [Fraction(4)], prior=[1, 1])
     with pytest.raises(ValueError):
         MaxEntProblem.from_targets(DICE, [Fraction(4)], prior=[1, 1, 1, 1, 1, 0])
+
+
+PRIOR_ENTRY_POINTS = {
+    "MaxEntProblem": lambda h: MaxEntProblem.from_targets(QUAD, [1], prior=h),
+    "direct_system": lambda h: direct_system(QUAD, [1], prior=h),
+    "dual_system": lambda h: dual_system(QUAD, [1], prior=h),
+    "toric_param": lambda h: toric_param(QUAD, [Fraction(1, 2)], h),
+    "model_distribution": lambda h: model_distribution(QUAD, [0.0], prior=h),
+    "verify_model_membership": lambda h: verify_model_membership([0.25, 0.5, 0.25], QUAD, prior=h),
+}
+
+
+@pytest.mark.parametrize("entry", list(PRIOR_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_every_prior_entry_point_rejects_a_non_finite_weight(entry, bad):
+    # one guard serves every entry point, so each gives the same diagnosis
+    for h in ([bad, 1, 1], [1, 1.0, bad]):
+        with pytest.raises(ValueError) as info:
+            PRIOR_ENTRY_POINTS[entry](h)
+        assert str(info.value) == "prior weights must be strictly positive and finite"
+    with pytest.raises(ValueError) as info:
+        PRIOR_ENTRY_POINTS[entry]([1, 1])
+    assert str(info.value) == "prior length does not match alphabet size"
+
+
+def test_exact_prior_weights_beyond_float_range_are_accepted():
+    huge = 10**400  # compared with infinity, never converted to a float
+    assert MaxEntProblem.from_targets(QUAD, [1], prior=[huge, 1, 1]).prior == (huge, 1, 1)
+    (equation,) = direct_system(QUAD, [1], prior=[huge, 1, 1]).equations
+    assert equation == t1(f"t1^2 - {huge}")
 
 
 def test_sample_problems_expose_mean_targets():
@@ -328,6 +358,17 @@ def test_gis_handles_negative_feature_values():
     assert fit.p.as_floats() == pytest.approx([1 / 3] * 3, abs=1e-8)
 
 
+def test_gis_constant_rows():
+    # a constant row that meets its target leaves the prior; one that misses it is infeasible
+    fit = fit_numeric(MaxEntProblem.from_targets(ConstraintMatrix([[2, 2, 2]]), [2], prior=[1, 2, 1]), solver="gis")
+    assert (fit.xi, fit.iterations) == ((0.0,), 0)
+    assert fit.p.as_floats() == pytest.approx([0.25, 0.5, 0.25])
+    for rows, targets in (([[2, 2, 2]], [3]), ([[0, 1, 2], [2, 2, 2]], [1, 3])):
+        problem = MaxEntProblem.from_targets(ConstraintMatrix(rows), targets)
+        with pytest.raises(InfeasibleMomentsError, match="^constant constraint row conflicts with its target$"):
+            fit_numeric(problem, solver="gis")
+
+
 def test_two_constraint_fit_reaches_exact_solution():
     matrix = ConstraintMatrix([[1, 1, 0], [0, 1, 2]])
     problem = MaxEntProblem.from_targets(matrix, [Fraction(1, 2), Fraction(5, 4)])
@@ -402,6 +443,9 @@ def test_infeasible_target_raises_for_both_solvers():
 def test_boundary_target_diverges_under_gis():
     with pytest.raises(InfeasibleMomentsError):
         fit_numeric(dice_problem(Fraction(6)), solver="gis")
+    # at the lower vertex the shifted target is 0, which GIS rejects before iterating
+    with pytest.raises(InfeasibleMomentsError, match="^target on or outside the moment polytope$"):
+        fit_numeric(dice_problem(Fraction(1)), solver="gis")
 
 
 def test_boundary_target_newton_approaches_the_vertex():

@@ -112,9 +112,18 @@ def test_distribution_float_sum_tolerance():
     ((float("nan"), 1.0), "probability is not a number"),
     ((float("nan"), -0.5, 1.5), "negative probability"),
     ((0.5, 0.5 + 2e-12), "distribution sums to 1.000000000002, not 1"),
+    ((2.0, -1.0), "negative probability"),
+    ((0.0, float("nan"), 1.0), "probability is not a number"),
+    ((1.0, 1e-11), "distribution sums to 1.00000000001, not 1"),
 ])
 def test_distribution_array_is_rejected_as_its_tuple(probs, message):
-    for given in (probs, np.array(probs, dtype=float)):
+    # the float tuple, its array, a tuple of numpy floats, the tuple with its
+    # integral entries as ints, and the exact tuple where its check is the same
+    forms = [probs, np.array(probs, dtype=float), tuple(np.array(probs, dtype=float)),
+             tuple(int(x) if x.is_integer() else x for x in probs)]
+    if all(map(math.isfinite, probs)) and "sums to" not in message:
+        forms.append(tuple(map(Fraction, probs)))
+    for given in forms:
         with pytest.raises(ValueError) as info:
             DistributionVector(given)
         assert str(info.value) == message
@@ -124,10 +133,17 @@ def test_distribution_array_is_accepted_as_its_tuple():
     probs = (0.1, 0.2, 0.3, 0.4 + 5e-13)
     source = np.array(probs)
     from_array, from_tuple = DistributionVector(source), DistributionVector(probs)
-    assert from_array == from_tuple
+    from_numpy_floats = DistributionVector(tuple(source))
+    assert from_array == from_tuple == from_numpy_floats
     assert type(from_array.probs) is tuple and not from_array.exact
+    mixed = DistributionVector((0, 0.25, 0.75))
+    assert mixed == DistributionVector(np.array([0.0, 0.25, 0.75])) and not mixed.exact
+    exact = DistributionVector((Fraction(1, 4), Fraction(3, 4)))
+    assert exact.probs == (Fraction(1, 4), Fraction(3, 4)) and exact.exact
     source[0] = 0.5
-    for p in (from_array, from_tuple, DistributionVector((Fraction(1, 4), Fraction(3, 4)))):
+    for p in (from_array, from_tuple, from_numpy_floats, mixed, exact):
+        assert "_floats" in vars(p)  # built at construction, not on first use
+        assert p.exact or all(type(x) is float for x in p.probs)
         arr = p.to_array()
         assert arr.dtype == np.float64 and not arr.flags.writeable
         assert arr.tolist() == [float(x) for x in p.probs]
@@ -136,6 +152,16 @@ def test_distribution_array_is_accepted_as_its_tuple():
             arr[0] = 1.0
     with pytest.raises(ValueError, match="one-dimensional"):
         DistributionVector(np.full((2, 2), 0.25))
+
+
+def test_distribution_entries_beyond_float_range():
+    # a float check cannot hold a huge int; an exact tuple is checked exactly first
+    with pytest.raises(ValueError) as info:
+        DistributionVector((10**400, 0.5))
+    assert str(info.value) == "probabilities are too large for a float"
+    big = 10**400
+    p = DistributionVector((Fraction(big, big + 1), Fraction(1, big + 1)))
+    assert p.exact and p.to_array().tolist() == [1.0, 0.0]
 
 
 # --- integer kernel ---
