@@ -304,6 +304,8 @@ def _read_distribution(path: str, m: int) -> tuple[float, ...]:
             values.append(float(value))
         except OverflowError:
             raise InputError(f"distribution file: p[{j}] is too large for a float") from None
+    if any(x < 0 for x in values):
+        raise InputError("distribution file: negative probability")
     return tuple(values)
 
 
@@ -415,8 +417,6 @@ def _cmd_check(args, parsed, out, err) -> int:
 
 def _cmd_entropy(args, parsed, out, err) -> int:
     p = _read_distribution(args.dist, parsed.m)
-    if any(x < 0 for x in p):
-        raise InputError("distribution file: negative probability")
     if parsed.prior is not None:
         total = sum(parsed.prior)
         reference = [float(w / total) for w in parsed.prior]

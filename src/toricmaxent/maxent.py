@@ -1,13 +1,18 @@
 """Maximum-entropy and minimum-divergence fitting over finite alphabets.
 
 Numeric fitting runs in floating point: generalized iterative scaling and a
-damped Newton iteration on the dual.  The algebraic path builds exact
-polynomial systems whose positive roots are the fitted parameters after the
-exponential change of variables, and solves them with the in-package
-Groebner engine plus exact univariate root isolation, which runs in integer
-arithmetic (one Sturm chain with integer coefficients per eliminant, which
-also yields its square-free part, and bisection on integers over a common
-denominator).
+damped Newton iteration on the dual.  The model is toric, ``p_j = h_j
+theta^(a_j) / Z``, so on alphabets of 256 symbols or more whose columns
+span at most ``m / 2`` keys, both iterate over the distinct columns of the
+matrix with the summed prior weight of each, and the fitted ``p`` is
+expanded over the whole alphabet once, at the end.
+
+The algebraic path builds exact polynomial systems whose positive roots are
+the fitted parameters after the exponential change of variables, and solves
+them with the in-package Groebner engine plus exact univariate root
+isolation, which runs in integer arithmetic (one Sturm chain with integer
+coefficients per eliminant, which also yields its square-free part, and
+bisection on integers over a common denominator).
 """
 
 from __future__ import annotations
@@ -306,15 +311,51 @@ def dual_objective(system: PolySystem, theta: Sequence) -> float:
     return float(system.objective.evaluate([float(t) for t in theta]))
 
 
-def _fit_gis(arr, h, targets, tol, max_iter):
+# Below this many symbols a solver iteration costs the same whatever the
+# number of columns, so merging equal columns cannot repay the keying.
+_CLASS_MIN_M = 256
+
+
+def _column_classes(arr: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct columns ``C`` of ``arr`` in lexicographic order, and the summed weight ``H`` of each.
+
+    Symbols with the same column share ``theta^(a_j)``, so they enter every
+    moment and the normalizer only through the sum of their weights.  A
+    column's mixed-radix key ``radix @ (a_j - min)`` ranks it lexicographically;
+    the weights are binned by key, in alphabet order, and the classes decoded
+    from the keys present.  The weights are summed relative to the largest,
+    since only their ratios matter and a sum of weights near float range
+    would overflow.  Only a key range of at most ``m / 2`` is binned, so that
+    merging at least halves the columns; beyond it ``(arr, h)`` come back as
+    they are, at the cost of one min and max per row.
+    """
     d, m = arr.shape
     mins = arr.min(axis=1)
-    shifted = arr - mins[:, None]
+    spans = (arr.max(axis=1) - mins + 1).tolist()
+    size = math.prod(spans)
+    if 2 * size > m:
+        return arr, h
+    radix = [1] * d
+    for i in range(d - 1, 0, -1):
+        radix[i - 1] = radix[i] * int(spans[i])
+    keys = np.dot(np.array(radix, dtype=float), arr - mins[:, None]).astype(np.intp)
+    # a class whose weights are all far below the largest may sum to zero
+    present = np.bincount(keys, minlength=int(size)).nonzero()[0]
+    sums = np.bincount(keys, weights=h / h.max(), minlength=int(size))
+    digits = present // np.array(radix)[:, None] % np.array(spans, dtype=np.intp)[:, None]
+    return digits + mins[:, None], sums[present]
+
+
+def _fit_gis(columns, weights, targets, tol, max_iter):
+    """GIS on the columns ``columns`` (d x K) weighted by ``weights``; returns ``(xi, iterations)``."""
+    d = len(columns)
+    mins = columns.min(axis=1)
+    shifted = columns - mins[:, None]
     shifted_targets = targets - mins
     col_sums = shifted.sum(axis=0)
     cap = col_sums.max()
 
-    log_h = np.log(h)
+    log_weights = np.log(weights)
     active = shifted.max(axis=1) > 0
     if np.any(~active & (np.abs(shifted_targets) > tol)):
         raise InfeasibleMomentsError("constant constraint row conflicts with its target")
@@ -329,8 +370,8 @@ def _fit_gis(arr, h, targets, tol, max_iter):
     eta = np.zeros(d)
     eta_slack = 0.0
     for iteration in range(1, max_iter + 1):
-        p, _ = _normalize(log_h + eta @ shifted + eta_slack * slack)
-        if np.max(np.abs(arr @ p - targets)) <= tol:
+        p, _ = _normalize(log_weights + eta @ shifted + eta_slack * slack)
+        if np.max(np.abs(columns @ p - targets)) <= tol:
             return eta_slack - eta, iteration - 1
         current = shifted @ p
         if np.any(current[active] <= 0):
@@ -346,17 +387,18 @@ def _fit_gis(arr, h, targets, tol, max_iter):
     raise InfeasibleMomentsError(f"iterative scaling did not converge in {max_iter} iterations")
 
 
-def _fit_newton(arr, h, targets, tol, max_iter):
-    d, m = arr.shape
-    log_h = np.log(h)
+def _fit_newton(columns, weights, targets, tol, max_iter):
+    """Damped Newton on the columns ``columns`` (d x K) weighted by ``weights``; returns ``(xi, iterations)``."""
+    d = len(columns)
+    log_weights = np.log(weights)
     xi = np.zeros(d)
-    p, log_z = _normalize(log_h)
+    p, log_z = _normalize(log_weights)
     for iteration in range(max_iter):
-        mom = arr @ p
+        mom = columns @ p
         gap = mom - targets
         if np.max(np.abs(gap)) <= tol:
             return xi, iteration
-        centered = arr - mom[:, None]
+        centered = columns - mom[:, None]
         cov = (centered * p) @ centered.T
         try:
             step = np.linalg.solve(cov, gap)
@@ -379,7 +421,7 @@ def _fit_newton(arr, h, targets, tol, max_iter):
         alpha = 1.0
         while True:
             trial = xi + alpha * step
-            trial_p, trial_log_z = _normalize(log_h - trial @ arr)
+            trial_p, trial_log_z = _normalize(log_weights - trial @ columns)
             if not resolvable or trial_log_z + float(trial @ targets) <= value - 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
@@ -398,6 +440,13 @@ def fit_numeric(
     max_iter: int | None = None,
 ) -> FitResult:
     """Fit the multipliers numerically.
+
+    From 256 symbols on, when the columns span at most ``m / 2`` mixed-radix
+    keys, both solvers iterate over the distinct columns of the matrix, each
+    weighted by the summed prior of its symbols, so an iteration costs time
+    in the number of distinct columns, at most ``m / 2``, not in ``m``.
+    Otherwise they iterate over the symbols.  The fitted ``p`` is expanded
+    over the alphabet once, by :func:`model_distribution`.
 
     Parameters
     ----------
@@ -431,10 +480,11 @@ def fit_numeric(
     arr = problem.matrix.to_array()
     h = _prior_floats(problem.matrix, problem.prior)
     targets = _as_floats(problem.target_values(), "targets")
+    columns, weights = (arr, h) if problem.m < _CLASS_MIN_M else _column_classes(arr, h)
     if solver == "gis":
-        xi, iterations = _fit_gis(arr, h, targets, tol, max_iter or GIS_MAX_ITER)
+        xi, iterations = _fit_gis(columns, weights, targets, tol, max_iter or GIS_MAX_ITER)
     elif solver == "newton":
-        xi, iterations = _fit_newton(arr, h, targets, tol, max_iter or NEWTON_MAX_ITER)
+        xi, iterations = _fit_newton(columns, weights, targets, tol, max_iter or NEWTON_MAX_ITER)
     else:
         raise ValueError(f"unknown solver {solver!r}")
     return _package_fit(problem, arr, h, targets, np.asarray(xi), iterations, solver)

@@ -2,8 +2,10 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,10 @@ from toricmaxent.errors import (
     UnsupportedStructureError,
 )
 from toricmaxent.maxent import (
+    DEFAULT_TOL,
+    DIVERGENCE_BOUND,
+    GIS_MAX_ITER,
+    NEWTON_MAX_ITER,
     MaxEntProblem,
     PolySystem,
     SampleData,
@@ -29,9 +35,18 @@ from toricmaxent.maxent import (
     sample_sums,
     shannon_entropy,
     solve_algebraic,
+    _CLASS_MIN_M,
+    _column_classes,
 )
 from toricmaxent.ratpoly import Polynomial, parse_poly, poly_to_text
-from toricmaxent.toric import ConstraintMatrix, toric_param, verify_model_membership
+from toricmaxent.toric import (
+    ConstraintMatrix,
+    _as_floats,
+    _normalize,
+    _prior_floats,
+    toric_param,
+    verify_model_membership,
+)
 
 DICE = ConstraintMatrix([[1, 2, 3, 4, 5, 6]])
 QUAD = ConstraintMatrix([[0, 1, 2]])
@@ -496,8 +511,6 @@ def test_dependent_constraints_raise_rank_error():
 
 
 def test_fitted_entropy_dominates_feasible_competitors():
-    import numpy as np
-
     fit = fit_numeric(dice_problem(Fraction(9, 2)), solver="newton", tol=1e-12)
     best = shannon_entropy(list(fit.p))
     p_star = np.array(fit.p.as_floats())
@@ -514,6 +527,243 @@ def test_fitted_entropy_dominates_feasible_competitors():
             q = p_star + step
         assert moments(DICE, list(q))[0] == pytest.approx(4.5, abs=1e-12)
         assert shannon_entropy(list(q)) <= best + 1e-9
+
+
+# --- numeric solvers on column classes against the full-matrix reference ---
+#
+# The references below are the full-matrix GIS and Newton solvers that the
+# column-class solvers replaced: they iterate over every symbol.  Merging
+# symbols with equal columns only regroups the sums, so both must take the
+# same number of iterations to the same p, and fail with the same message.
+
+
+def _full_gis(arr, h, targets, tol, max_iter):
+    d, m = arr.shape
+    mins = arr.min(axis=1)
+    shifted = arr - mins[:, None]
+    shifted_targets = targets - mins
+    col_sums = shifted.sum(axis=0)
+    cap = col_sums.max()
+
+    log_h = np.log(h)
+    active = shifted.max(axis=1) > 0
+    if np.any(~active & (np.abs(shifted_targets) > tol)):
+        raise InfeasibleMomentsError("constant constraint row conflicts with its target")
+    if np.any(shifted_targets[active] <= 0):
+        raise InfeasibleMomentsError("target on or outside the moment polytope")
+    slack = cap - col_sums
+    use_slack = slack.max() > 0
+    slack_target = cap - shifted_targets.sum()
+    if use_slack and slack_target <= 0:
+        raise InfeasibleMomentsError("target on or outside the moment polytope")
+
+    eta = np.zeros(d)
+    eta_slack = 0.0
+    for iteration in range(1, max_iter + 1):
+        p, _ = _normalize(log_h + eta @ shifted + eta_slack * slack)
+        if np.max(np.abs(arr @ p - targets)) <= tol:
+            return eta_slack - eta, iteration - 1
+        current = shifted @ p
+        if np.any(current[active] <= 0):
+            raise InfeasibleMomentsError("iterative scaling collapsed onto a face")
+        eta[active] += np.log(shifted_targets[active] / current[active]) / cap
+        if use_slack:
+            slack_mean = float(slack @ p)
+            if slack_mean <= 0:
+                raise InfeasibleMomentsError("iterative scaling collapsed onto a face")
+            eta_slack += math.log(slack_target / slack_mean) / cap
+        if np.max(np.abs(eta_slack - eta)) > DIVERGENCE_BOUND:
+            raise InfeasibleMomentsError("multipliers diverged; moments are not attainable")
+    raise InfeasibleMomentsError(f"iterative scaling did not converge in {max_iter} iterations")
+
+
+def _full_newton(arr, h, targets, tol, max_iter):
+    d, m = arr.shape
+    log_h = np.log(h)
+    xi = np.zeros(d)
+    p, log_z = _normalize(log_h)
+    for iteration in range(max_iter):
+        mom = arr @ p
+        gap = mom - targets
+        if np.max(np.abs(gap)) <= tol:
+            return xi, iteration
+        centered = arr - mom[:, None]
+        cov = (centered * p) @ centered.T
+        try:
+            step = np.linalg.solve(cov, gap)
+        except np.linalg.LinAlgError:
+            step = None
+        if step is None or not np.all(np.isfinite(step)):
+            if iteration == 0:
+                raise RankDeficiencyError(
+                    "singular moment covariance; remove dependent constraints"
+                )
+            raise InfeasibleMomentsError("multipliers diverged; moments are not attainable")
+        value = log_z + float(xi @ targets)
+        slope = float(gap @ step)
+        resolvable = value - 1e-4 * slope < value
+        alpha = 1.0
+        while True:
+            trial = xi + alpha * step
+            trial_p, trial_log_z = _normalize(log_h - trial @ arr)
+            if not resolvable or trial_log_z + float(trial @ targets) <= value - 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+            if alpha < 2**-30:
+                break
+        xi, p, log_z = trial, trial_p, trial_log_z
+        if np.max(np.abs(xi)) > DIVERGENCE_BOUND:
+            raise InfeasibleMomentsError("multipliers diverged; moments are not attainable")
+    raise InfeasibleMomentsError(f"Newton iteration did not converge in {max_iter} iterations")
+
+
+FULL_SOLVERS = {"gis": (_full_gis, GIS_MAX_ITER), "newton": (_full_newton, NEWTON_MAX_ITER)}
+
+
+def _seeded_problem(seed, m, d, lo, hi, prior=False, samples=False):
+    """Entries in ``lo..hi``; targets are the moments of a random positive distribution."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(lo, hi + 1, size=(d, m)).tolist()
+    matrix = ConstraintMatrix(rows)
+    weights = rng.integers(1, 6, size=m).tolist() if prior else None
+    if samples:
+        return MaxEntProblem.from_samples(matrix, rng.integers(1, m + 1, size=50).tolist(), prior=weights)
+    q = rng.uniform(0.5, 1.5, size=m)
+    return MaxEntProblem.from_targets(matrix, (matrix.to_array() @ (q / q.sum())).tolist(), prior=weights)
+
+
+def _full_fit(problem, solver):
+    """Iterations and fitted p of the full-matrix reference solver."""
+    fit, cap = FULL_SOLVERS[solver]
+    arr = problem.matrix.to_array()
+    h = _prior_floats(problem.matrix, problem.prior)
+    xi, iterations = fit(arr, h, _as_floats(problem.target_values(), "targets"), DEFAULT_TOL, cap)
+    return iterations, model_distribution(problem.matrix, xi, problem.prior)[0].to_array()
+
+
+CLASS_FIT_CASES = {
+    # m = 300 symbols over at most 9 distinct columns
+    "repeated columns": lambda: _seeded_problem(1, 300, 2, 0, 2),
+    # K == m, so the solvers take the symbols as they are
+    "all distinct": lambda: MaxEntProblem.from_targets(
+        ConstraintMatrix([[j % 20 for j in range(300)], [j // 20 for j in range(300)]]), [Fraction(8), Fraction(6)]
+    ),
+    # K == m / 2: every column twice
+    "half distinct": lambda: MaxEntProblem.from_targets(
+        ConstraintMatrix([[j % 10 for j in range(300)], [j % 150 // 10 for j in range(300)]]), [4, 6]
+    ),
+    "prior": lambda: _seeded_problem(2, 400, 3, 0, 2, prior=True),
+    "samples": lambda: _seeded_problem(3, 300, 2, 0, 3, samples=True),
+    "samples with prior": lambda: _seeded_problem(4, 300, 2, 0, 3, prior=True, samples=True),
+    "negative entries": lambda: _seeded_problem(5, 300, 2, -3, 2),
+    "prior near float max": lambda: MaxEntProblem.from_targets(
+        ConstraintMatrix([[j % 5 for j in range(256)]]),
+        [2],
+        prior=(np.random.default_rng(8).uniform(0.5, 1.5, size=256) * 1e308).tolist(),
+    ),
+    # below _CLASS_MIN_M the solvers take the symbols as they are
+    "small alphabet": lambda: _seeded_problem(6, 12, 2, 0, 2, prior=True),
+}
+# entries 0..999 make almost every column distinct (K close to m) in a key
+# range beyond m / 2, so the solvers take the symbols as they are; GIS's
+# step 1 / cap is tiny there, so that case runs under Newton alone
+CLASS_FIT_PARAMS = [(case, solver) for case in CLASS_FIT_CASES for solver in ("newton", "gis")]
+CLASS_FIT_CASES["wide entries"] = lambda: _seeded_problem(7, 300, 2, 0, 999, prior=True)
+CLASS_FIT_PARAMS.append(("wide entries", "newton"))
+
+
+# the cases whose solvers take the symbols as they are
+UNMERGED_CASES = {"all distinct", "small alphabet", "wide entries"}
+
+
+@pytest.mark.parametrize("case, solver", CLASS_FIT_PARAMS)
+def test_class_solvers_match_the_full_matrix_reference(case, solver):
+    problem = CLASS_FIT_CASES[case]()
+    merged = _column_classes(problem.matrix.to_array(), np.ones(problem.m))[0].shape[1] < problem.m
+    assert (problem.m >= _CLASS_MIN_M and merged) == (case not in UNMERGED_CASES)
+    iterations, p = _full_fit(problem, solver)
+    fit = fit_numeric(problem, solver=solver)
+    assert fit.iterations == iterations > 0
+    assert np.allclose(fit.p.to_array(), p, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "rows, targets, solver",
+    [
+        ([[3, 1], [3, 3]], [Fraction(17, 9), 3], "newton"),
+        ([[0, 1, 2]], [2], "gis"),
+    ],
+    ids=["dependent rows", "vertex target"],
+)
+def test_class_solvers_fail_like_the_full_matrix_reference(rows, targets, solver):
+    # each column 128 times, so that the alphabet reaches _CLASS_MIN_M and
+    # the solvers run on the merged classes
+    rows = [[v for v in row for _ in range(128)] for row in rows]
+    problem = MaxEntProblem.from_targets(ConstraintMatrix(rows), targets)
+    arr = problem.matrix.to_array()
+    assert problem.m >= _CLASS_MIN_M
+    assert _column_classes(arr, np.ones(problem.m))[0].shape[1] == len(set(zip(*rows)))
+    with pytest.raises(Exception) as expected:
+        _full_fit(problem, solver)
+    with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+        fit_numeric(problem, solver=solver)
+
+
+def _dict_classes(rows, weights):
+    """Distinct columns in sorted order and their summed weights, by a plain dict."""
+    sums = {}
+    for column, w in zip(zip(*rows), weights):
+        sums[column] = sums.get(column, 0.0) + w
+    keys = sorted(sums)
+    return np.array(keys, dtype=float).T, np.array([sums[k] for k in keys])
+
+
+def _wide_repeated_rows(seed):
+    """Four rows with entries up to +-2^40, every column twice, and uneven weights: the key range is beyond int64."""
+    rng = random.Random(seed)
+    columns = [tuple(rng.randint(-(2**40), 2**40) for _ in range(4)) for _ in range(20)]
+    columns += rng.sample(columns, 20)
+    return [list(row) for row in zip(*columns)], [rng.uniform(0.01, 100.0) for _ in columns]
+
+
+COLUMN_CLASS_CASES = {
+    "constant rows": ([[3] * 5, [-1] * 5], [0.5, 2.0, 0.25, 1.0, 4.0]),
+    "uneven weights": (
+        [[0, 1, 0, 2, 1, 0, 2, 1, 0, 2, 2, 1], [1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1]],
+        [1e-3, 7.5, 2.0, 1e6, 0.125, 3.0, 1.0, 1e-9, 0.5, 6.0, 1e3, 2.5],
+    ),
+    "weights near float max": ([[0, 1, 0, 1, 0]], [1.5e308, 1e308, 1.7e308, 0.5e308, 1.2e308]),
+    # the second class's weight is below the smallest float once scaled
+    "weight far below the largest": ([[0, 1, 0, 0], [2, 2, 2, 2]], [1e300, 1e-30, 3e299, 1e300]),
+}
+
+
+@pytest.mark.parametrize("case", list(COLUMN_CLASS_CASES))
+def test_column_classes_match_a_dict_over_the_columns(case):
+    rows, weights = COLUMN_CLASS_CASES[case]
+    m = len(rows[0])
+    weights = np.ones(m) if weights is None else np.array(weights)
+    columns, sums = _column_classes(np.array(rows, dtype=float), weights)
+    expected_columns, expected_sums = _dict_classes(rows, (weights / weights.max()).tolist())
+    assert columns.shape == expected_columns.shape
+    assert (columns == expected_columns).all()
+    assert (sums == expected_sums).all()
+
+
+WIDE_KEY_RANGE_CASES = {
+    "all distinct, small range": ([[4, 0, 3, 1, 2], [0, 0, 1, 1, 1]], [1.0] * 5),
+    "key range beyond int64": _wide_repeated_rows(11),
+    "all distinct, wide range": ([[900, -7, 31, 444, 12], [5, 60, -1, 2, 0]], [1.0] * 5),
+    "repeats, wide range": ([[900, -7, 900, 31, -7], [5, 60, 5, 2, 60]], [3.0, 0.5, 1e-4, 2.0, 7.25]),
+}
+
+
+@pytest.mark.parametrize("case", list(WIDE_KEY_RANGE_CASES))
+def test_column_classes_leave_a_key_range_beyond_half_of_m_as_it_is(case):
+    rows, weights = WIDE_KEY_RANGE_CASES[case]
+    arr, h = np.array(rows, dtype=float), np.array(weights)
+    columns, sums = _column_classes(arr, h)
+    assert columns is arr and sums is h
 
 
 # --- exact fitting front door ---
