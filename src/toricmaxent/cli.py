@@ -9,7 +9,12 @@ A numeric fit of a valid document loops over the alphabet only in C.
 Each array field (``values``, ``samples``, ``prior``) is validated in one
 pass of ``set(map(type, xs))`` with ``min`` and ``max``; only when that
 fails is the field scanned again in order, so the message names the first
-bad index.  A list of Python floats is emitted by one ``%`` call.  A fitted
+bad index.  The checked ``values`` of all rows then become the
+:class:`ConstraintMatrix` of the document through one ``np.array`` call:
+an int64 array, or an object array of the same ints when an entry does
+not fit, so a huge entry still reaches the exact path.  A numeric fit
+converts that array to floats once and never builds tuples of Python
+ints.  A list of Python floats is emitted by one ``%`` call.  A fitted
 ``p`` is emitted from the float array of ``DistributionVector.to_array()``;
 when it is long and at least half its entries repeat, as in a toric model
 with few distinct columns and weights, each distinct value is formatted once.
@@ -49,6 +54,7 @@ from .ratpoly import GREVLEX, LEX, MonomialOrder, poly_to_text
 from .toric import (
     ConstraintMatrix,
     _as_floats,
+    _int_array,
     toric_ideal_generators,
     verify_model_membership,
 )
@@ -65,23 +71,29 @@ class InputError(Exception):
 
 @dataclass(frozen=True)
 class ProblemDef:
-    """Validated problem document: alphabet size, constraint rows, data, prior.
+    """Validated problem document: constraint matrix, data, prior.
 
     ``targets`` holds one target per row, or is ``None`` when ``samples``
     are given.
     """
 
-    m: int
-    rows: tuple[tuple[int, ...], ...]
+    matrix: ConstraintMatrix
     targets: tuple[int | Fraction, ...] | None
     samples: tuple[int, ...] | None
     prior: tuple[int | Fraction, ...] | None
 
+    @property
+    def m(self) -> int:
+        return self.matrix.m
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return self.matrix.rows
+
     def to_problem(self) -> MaxEntProblem:
-        matrix = ConstraintMatrix(self.rows)
         if self.samples is not None:
-            return MaxEntProblem.from_samples(matrix, self.samples, prior=self.prior)
-        return MaxEntProblem.from_targets(matrix, self.targets, prior=self.prior)
+            return MaxEntProblem.from_samples(self.matrix, self.samples, prior=self.prior)
+        return MaxEntProblem.from_targets(self.matrix, self.targets, prior=self.prior)
 
 
 def _as_rational(value, path: str) -> int | Fraction:
@@ -162,7 +174,7 @@ def parse_problem(text: str) -> ProblemDef:
             target = _as_rational(target, f"{path}.target")
         elif samples is None:
             raise InputError(f"{path}.target: missing (and no samples given)")
-        rows.append(tuple(values))
+        rows.append(values)
         targets.append(target)
 
     prior = doc.get("prior")
@@ -179,7 +191,9 @@ def parse_problem(text: str) -> ProblemDef:
             prior = weights
         prior = tuple(prior)
 
-    return ProblemDef(m, tuple(rows), None if samples is not None else tuple(targets), samples, prior)
+    # every entry is a Python int by now: one call builds the array, and the matrix copies it
+    matrix = ConstraintMatrix(_int_array(rows))
+    return ProblemDef(matrix, None if samples is not None else tuple(targets), samples, prior)
 
 
 _REAL_FORMAT = "%.17g"
@@ -376,7 +390,7 @@ def _cmd_dual(args, parsed, out, err) -> int:
 
 
 def _cmd_ideal(args, parsed, out, err) -> int:
-    matrix = ConstraintMatrix(parsed.rows)
+    matrix = parsed.matrix
     generators = toric_ideal_generators(matrix)
     order = _text_order(args)
     rendered = [poly_to_text(g, order) for g in generators]

@@ -31,7 +31,16 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .ratpoly import LEX, Polynomial, _reject_laurent, buchberger, laurent_clear
-from .toric import ConstraintMatrix, DistributionVector, _as_floats, _check_weights, _exact_weights, _normalize, _prior_floats
+from .toric import (
+    ConstraintMatrix,
+    DistributionVector,
+    _as_floats,
+    _check_weights,
+    _exact_weights,
+    _integers,
+    _normalize,
+    _prior_floats,
+)
 
 __all__ = [
     "DEFAULT_TOL",
@@ -227,15 +236,23 @@ def moments(matrix: ConstraintMatrix, p: Sequence) -> tuple[float, ...]:
 
 
 def sample_sums(observations: Sequence[int], matrix: ConstraintMatrix) -> SampleData:
-    """Exact integer constraint sums of a sample of symbols from 1..m."""
-    obs = tuple(map(int, observations))
+    """Exact integer constraint sums of a sample of symbols from 1..m.
+
+    An observation must be an integer: a float or a bool is rejected, not
+    truncated.  The sampled columns of ``matrix.entries`` are summed as
+    Python ints, so no sum overflows.
+    """
+    try:
+        obs = _integers(observations)
+    except TypeError as exc:
+        raise ValueError(f"observation {exc.args[0]!r} is not an integer") from None
     if not obs:
         raise ValueError("empty sample")
     if not (1 <= min(obs) and max(obs) <= matrix.m):
         bad = next(o for o in obs if not 1 <= o <= matrix.m)
         raise ValueError(f"observation {bad} outside 1..{matrix.m}")
     index = [o - 1 for o in obs]
-    sums = tuple(sum(map(row.__getitem__, index)) for row in matrix.rows)
+    sums = tuple(map(sum, matrix.entries[:, index].tolist()))
     return SampleData(obs, len(obs), sums)
 
 

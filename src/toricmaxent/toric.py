@@ -13,7 +13,7 @@ least-squares fit of its logarithms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, repeat
@@ -38,40 +38,112 @@ __all__ = [
 MAX_IDEAL_ALPHABET = 10
 
 
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    """Integer d x m matrix; row i is the i-th constraint function on 1..m."""
+def _integers(values) -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints, exactly.
 
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
+    A tuple of ``int`` passes one C-level type check; other entries go
+    through ``operator.index``, so numpy integers are taken exactly.  A bool,
+    a float or any other non-integer raises ``TypeError`` with that entry as
+    its argument.
+    """
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    ints = []
+    for x in values:
         try:
-            rows = tuple(tuple(map(as_int, row)) for row in self.rows)
-        except TypeError as exc:
-            raise ValueError("matrix entries must be integers") from exc
-        if len(rows) < 1:
+            if isinstance(x, bool):
+                raise TypeError
+            ints.append(as_int(x))
+        except TypeError:
+            raise TypeError(x) from None
+    return tuple(ints)
+
+
+def _int_array(rows) -> np.ndarray:
+    """One 2-D array of the Python ints in ``rows``, built in one call.
+
+    It is int64 when every entry fits, else an object array of the same
+    exact ints.
+    """
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+class ConstraintMatrix:
+    """Integer d x m matrix; row i is the i-th constraint function on 1..m.
+
+    The entries are held once, checked at construction, as the read-only
+    2-D array ``entries``.  It is int64 when every entry fits, else an object
+    array of the exact Python ints.  An integer array is copied in one
+    ``astype``.  Any other input, such as a list of rows, is checked entry
+    by entry, so a bool or a float is rejected, and converted in one
+    ``np.array`` call.  The exact path reads ``rows`` and ``column(j)``,
+    which are tuples of Python ints built from ``entries`` on first use.
+    The numeric path reads ``to_array()``, a float copy also made on first
+    use.  Two matrices are equal, and hash alike, when their entries are.
+    """
+
+    def __init__(self, rows) -> None:
+        if (
+            isinstance(rows, np.ndarray)
+            and rows.ndim == 2
+            and rows.dtype.kind in "iu"  # a bool array casts to int64 too
+            and np.can_cast(rows.dtype, np.int64)
+        ):
+            entries = rows.astype(np.int64)  # a copy: the caller may write to its array later
+        else:
+            try:
+                rows = [_integers(row) for row in rows]
+            except TypeError:
+                raise ValueError("matrix entries must be integers") from None
+            if len({len(row) for row in rows}) > 1:
+                raise ValueError("ragged rows")
+            entries = _int_array(rows)
+        if len(entries) < 1:
             raise ValueError("need at least one constraint row")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ValueError("ragged rows")
-        if len(rows[0]) < 2:
+        if entries.shape[1] < 2:
             raise ValueError("alphabet size must be at least 2")
-        object.__setattr__(self, "rows", rows)
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.entries, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"ConstraintMatrix(rows={self.rows!r})"
 
     @property
     def d(self) -> int:
-        return len(self.rows)
+        return self.entries.shape[0]
 
     @property
     def m(self) -> int:
-        return len(self.rows[0])
+        return self.entries.shape[1]
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.entries.tolist()))
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
 
     @cached_property
     def _floats(self) -> np.ndarray:
-        arr = _as_floats(self.rows, "constraint values")
+        try:
+            arr = self.entries.astype(float)
+        except OverflowError:
+            raise ValueError("constraint values are too large for a float") from None
         arr.flags.writeable = False
         return arr
 

@@ -1009,6 +1009,41 @@ def test_check_numbers_beyond_float_range_exit_two(tmp_path, doc, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# sha256 of the exit code, stdout and stderr of the text and then the json run
+WIDE_VALUE_OUTPUTS = {
+    "system": "a720d4d073811e7f022e8c1dd4ec027b0055c58ed237c888cb2726daeba0384a",
+    "dual": "a0545b2d0b7927da9515f51bd843b965e16deae5bb578db1b427c6877de98811",
+    "fit": "23eaf07a7419581010cb2572665ce25c585e7909aa02b24bf0bc08e105550b72",
+}
+
+
+@pytest.mark.parametrize("command", WIDE_VALUE_OUTPUTS)
+def test_exact_commands_on_values_beyond_int64_are_pinned(tmp_path, command):
+    # a 2**70 entry is held as an exact int; the exact path prints what it printed
+    # when the matrix was tuples of Python ints
+    doc = {"m": 3, "constraints": [{"name": "t", "values": [0, 1, 2**70]}, {"name": "u", "values": [1, 0, 1]}],
+           "samples": [1, 2, 3, 3]}
+    path = _write_text(tmp_path, doc)
+    digest = hashlib.sha256()
+    for fmt in ("text", "json"):
+        code, out, err = run([command, path, "--format", fmt] + (["--solver", "groebner"] if command == "fit" else []))
+        digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == WIDE_VALUE_OUTPUTS[command]
+
+
+def test_numeric_fit_never_builds_python_int_rows():
+    parsed = parse_problem(json.dumps({"m": 300, "constraints": [
+        {"name": "t", "values": [j % 5 for j in range(300)], "target": "2"},
+        {"name": "u", "values": [j % 3 for j in range(300)], "target": "1"},
+    ]}))
+    assert parsed.matrix.entries.dtype == np.int64
+    for solver in ("newton", "gis"):
+        fit_numeric(parsed.to_problem(), solver=solver, tol=1e-8)
+    # ``rows`` is a cached property: it is in the instance dict once built
+    assert "rows" not in vars(parsed.matrix)
+    assert parsed.rows[1][:4] == (0, 1, 2, 0) and "rows" in vars(parsed.matrix)
+
+
 @pytest.mark.parametrize("command", ["check", "entropy"])
 @pytest.mark.parametrize("entry", ["1e400", "1" + "0" * 400], ids=["decimal", "integer"])
 def test_distribution_entry_beyond_float_range_exits_two(tmp_path, command, entry):

@@ -132,6 +132,25 @@ def test_sample_sums_counts_and_checks_range():
         sample_sums([7], DICE)
 
 
+@pytest.mark.parametrize("observations, bad", [([1.7, 2.2, True], "1.7"), ([1, True], "True"), ([2.0], "2.0")])
+def test_sample_sums_rejects_non_integer_observations(observations, bad):
+    # a float or a bool is not a symbol: it is rejected, not truncated
+    message = f"^observation {re.escape(bad)} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        sample_sums(observations, QUAD)
+    with pytest.raises(ValueError, match=message):
+        MaxEntProblem.from_samples(QUAD, observations)
+
+
+def test_sample_sums_are_exact_python_ints():
+    assert sample_sums(np.array([1, 3, 3]), QUAD) == SampleData((1, 3, 3), 3, (4,))
+    # summed as Python ints: in int64 the first sum would wrap, and 2**70 does not fit at all
+    for rows, sums in (([[0, 2**62, 1]], (2**63,)), ([[0, 2**62, 1], [2**70, 1, 1]], (2**63, 2**70 + 2))):
+        data = sample_sums([2, 2, 1], ConstraintMatrix(rows))
+        assert data.sums == sums
+        assert {type(s) for s in (*data.observations, *data.sums)} == {int}
+
+
 # --- problem construction ---
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from toricmaxent.errors import SizeLimitError
+from toricmaxent.maxent import MaxEntProblem
 from toricmaxent.ratpoly import GREVLEX, LEX, Polynomial, buchberger, normal_form, parse_poly, poly_to_text
 from toricmaxent.toric import (
     ConstraintMatrix,
@@ -63,11 +64,67 @@ def test_matrix_rejects_bad_input():
         ConstraintMatrix([[0.5, 1]])
     with pytest.raises(ValueError):
         ConstraintMatrix([[1, 2], [3]])
+    # a bool is not an integer entry, in a list as in a numpy bool array
+    for rows in ([[True, False, 2]], [[1, 2], [0, True]], np.array([[True, False]])):
+        with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+            ConstraintMatrix(rows)
 
 
 def test_matrix_accepts_negative_entries():
     m = ConstraintMatrix([[-1, 2, 0]])
     assert m.rows == ((-1, 2, 0),)
+
+
+SMALL_ROWS = [[-3, 0, 5, 7], [1, 1, 0, 2]]
+# id -> (a factory of a fresh input, the rows it holds)
+MATRIX_INPUTS = {
+    "list": (lambda: [list(row) for row in SMALL_ROWS], SMALL_ROWS),
+    "tuple": (lambda: tuple(map(tuple, SMALL_ROWS)), SMALL_ROWS),
+    "int8": (lambda: np.array(SMALL_ROWS, dtype=np.int8), SMALL_ROWS),
+    "int32": (lambda: np.array(SMALL_ROWS, dtype=np.int32), SMALL_ROWS),
+    "int64": (lambda: np.array(SMALL_ROWS, dtype=np.int64), SMALL_ROWS),
+    "uint8": (lambda: np.array([[0, 255, 3]], dtype=np.uint8), [[0, 255, 3]]),
+    "int64 bounds": (lambda: [[-(2**63), 2**63 - 1, 0]], [[-(2**63), 2**63 - 1, 0]]),
+    "beyond int64": (lambda: [[2**63, -(2**63) - 1, 0], [1, 2, 3]], [[2**63, -(2**63) - 1, 0], [1, 2, 3]]),
+    "beyond float": (lambda: [[10**400, 1, 2]], [[10**400, 1, 2]]),
+}
+
+
+@pytest.mark.parametrize("make, expected", MATRIX_INPUTS.values(), ids=MATRIX_INPUTS)
+def test_matrix_holds_the_exact_ints_of_any_integer_input(make, expected):
+    source = make()
+    matrix = ConstraintMatrix(source)
+    rows = tuple(map(tuple, expected))
+    assert matrix.rows == rows
+    assert {type(x) for row in matrix.rows for x in row} == {int}
+    assert (matrix.d, matrix.m) == (len(rows), len(rows[0]))
+    assert [matrix.column(j) for j in range(matrix.m)] == list(zip(*rows))
+    if max(abs(x) for row in rows for x in row) < 2**1000:
+        floats = matrix.to_array()
+        assert floats.tolist() == [[float(x) for x in row] for row in rows]
+        with pytest.raises(ValueError):
+            floats[0, 0] = 1.0
+    else:
+        with pytest.raises(ValueError, match="^constraint values are too large for a float$"):
+            matrix.to_array()
+    with pytest.raises(ValueError):
+        matrix.entries[0, 0] = 1
+
+    # a later write to the caller's input leaves the matrix as it was
+    if not isinstance(source, tuple):
+        source[0][0] = 9
+    assert matrix.rows == rows and matrix.entries.tolist() == list(map(list, rows))
+
+    # value equality and hashing, as a frozen dataclass of ``rows`` gives them
+    twin = ConstraintMatrix(list(map(list, rows)))
+    assert matrix == twin and hash(matrix) == hash(twin) == hash((rows,))
+    assert len({matrix, twin}) == 1
+    assert matrix != ConstraintMatrix([[x + (i == j == 0) for j, x in enumerate(row)] for i, row in enumerate(rows)])
+    assert matrix != rows
+    targets = [0] * matrix.d
+    problem, same = (MaxEntProblem.from_targets(m, targets, prior=[1] * m.m) for m in (matrix, twin))
+    assert problem == same and hash(problem) == hash(same)
+    assert problem != MaxEntProblem.from_targets(matrix, [1] * matrix.d, prior=[1] * matrix.m)
 
 
 # --- DistributionVector ---
