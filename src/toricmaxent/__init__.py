@@ -9,94 +9,12 @@ minimum-divergence models, numerically or by solving exact polynomial
 systems.  :mod:`toricmaxent.cli` wraps it all for the command line.
 """
 
-from .errors import (
-    InfeasibleMomentsError,
-    RankDeficiencyError,
-    SizeLimitError,
-    UnsupportedStructureError,
-)
-from .maxent import (
-    DEFAULT_TOL,
-    FitResult,
-    MaxEntProblem,
-    PolySystem,
-    SampleData,
-    direct_system,
-    dual_objective,
-    dual_system,
-    fit_algebraic,
-    fit_numeric,
-    kl_divergence,
-    model_distribution,
-    moments,
-    sample_sums,
-    shannon_entropy,
-    solve_algebraic,
-)
-from .ratpoly import (
-    GREVLEX,
-    LEX,
-    GroebnerBasis,
-    MonomialOrder,
-    Polynomial,
-    buchberger,
-    laurent_clear,
-    multivariate_divide,
-    normal_form,
-    parse_poly,
-    poly_to_text,
-    s_polynomial,
-)
-from .toric import (
-    ConstraintMatrix,
-    DistributionVector,
-    MembershipReport,
-    integer_kernel_basis,
-    toric_ideal_generators,
-    toric_param,
-    verify_model_membership,
-)
+from . import errors, maxent, ratpoly, toric
+from .errors import *
+from .maxent import *
+from .ratpoly import *
+from .toric import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstraintMatrix",
-    "DEFAULT_TOL",
-    "DistributionVector",
-    "FitResult",
-    "GREVLEX",
-    "GroebnerBasis",
-    "InfeasibleMomentsError",
-    "LEX",
-    "MaxEntProblem",
-    "MembershipReport",
-    "MonomialOrder",
-    "PolySystem",
-    "Polynomial",
-    "RankDeficiencyError",
-    "SampleData",
-    "SizeLimitError",
-    "UnsupportedStructureError",
-    "buchberger",
-    "direct_system",
-    "dual_objective",
-    "dual_system",
-    "fit_algebraic",
-    "fit_numeric",
-    "integer_kernel_basis",
-    "kl_divergence",
-    "laurent_clear",
-    "model_distribution",
-    "moments",
-    "multivariate_divide",
-    "normal_form",
-    "parse_poly",
-    "poly_to_text",
-    "s_polynomial",
-    "sample_sums",
-    "shannon_entropy",
-    "solve_algebraic",
-    "toric_ideal_generators",
-    "toric_param",
-    "verify_model_membership",
-]
+__all__ = errors.__all__ + maxent.__all__ + ratpoly.__all__ + toric.__all__

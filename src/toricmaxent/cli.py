@@ -7,9 +7,10 @@ produce byte-identical output.
 
 A numeric fit of a valid document loops over the alphabet only in C.
 Each array field (``values``, ``samples``, ``prior``) is validated in one
-pass of ``set(map(type, xs))`` with ``min`` and ``max``; only when that
-fails is the field scanned again in order, so the message names the first
-bad index.  The checked ``values`` of all rows then become the
+pass of ``set(map(type, xs))``, plus ``min`` and ``max`` for ``samples``
+and ``min`` for ``prior``; ``values`` gets the type check only.  Only when
+that fails is the field scanned again in order, so the message names the
+first bad index.  The checked ``values`` of all rows then become the
 :class:`ConstraintMatrix` of the document through one ``np.array`` call:
 an int64 array, or an object array of the same ints when an entry does
 not fit, so a huge entry still reaches the exact path.  A numeric fit
@@ -81,14 +82,6 @@ class ProblemDef:
     targets: tuple[int | Fraction, ...] | None
     samples: tuple[int, ...] | None
     prior: tuple[int | Fraction, ...] | None
-
-    @property
-    def m(self) -> int:
-        return self.matrix.m
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self.matrix.rows
 
     def to_problem(self) -> MaxEntProblem:
         if self.samples is not None:
@@ -222,7 +215,9 @@ def _join_array(arr: np.ndarray, sep: str) -> str:
     """
     if len(arr) >= _GATHER_MIN:
         bits = arr.view(np.uint64)
-        # sort and compare neighbours: np.unique takes over ten times as long on 10^5 keys
+        # sort and compare neighbours: np.unique(bits, return_inverse=True) is faster on 10^4-10^5
+        # keys with 125 distinct values but slower on 10^6 keys with 5 (28 vs 22 ms; numpy 2.4.6,
+        # one 2-vCPU Xeon VM)
         ordered = np.sort(bits)
         fresh = np.ones(len(ordered), dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
@@ -378,14 +373,9 @@ def _cmd_dual(args, parsed, out, err) -> int:
         "gradient": [poly_to_text(g, order) for g in system.gradient],
         "equations": [poly_to_text(eq, order) for eq in system.equations],
     }
-    if args.format == "json":
-        _emit(out, payload, "json")
-    else:
-        out.write(f"objective: {payload['objective']}\n")
-        for g in payload["gradient"]:
-            out.write(f"gradient: {g}\n")
-        for eq in payload["equations"]:
-            out.write(f"cleared: {eq}\n")
+    if args.format == "text":
+        payload = {"objective": payload["objective"], "gradient": payload["gradient"], "cleared": payload["equations"]}
+    _emit(out, payload, args.format)
     return EXIT_OK
 
 
@@ -407,7 +397,7 @@ def _cmd_ideal(args, parsed, out, err) -> int:
 
 def _cmd_check(args, parsed, out, err) -> int:
     problem = parsed.to_problem()
-    p = _read_distribution(args.dist, parsed.m)
+    p = _read_distribution(args.dist, parsed.matrix.m)
     report = verify_model_membership(p, problem.matrix, tol=args.tol, prior=problem.prior)
     targets = _as_floats(problem.target_values(), "targets").tolist()
     mom = moments(problem.matrix, p)
@@ -430,12 +420,15 @@ def _cmd_check(args, parsed, out, err) -> int:
 
 
 def _cmd_entropy(args, parsed, out, err) -> int:
-    p = _read_distribution(args.dist, parsed.m)
+    m = parsed.matrix.m
+    p = _read_distribution(args.dist, m)
     if parsed.prior is not None:
+        # a weight beyond float range is an input error, as in ``fit`` and ``check``
+        _as_floats(parsed.prior, "prior weights")
         total = sum(parsed.prior)
         reference = [float(w / total) for w in parsed.prior]
     else:
-        reference = [1.0 / parsed.m] * parsed.m
+        reference = [1.0 / m] * m
     _emit(out, {
         "entropy": shannon_entropy(p),
         "kl_to_prior": kl_divergence(p, reference),

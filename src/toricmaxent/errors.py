@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SizeLimitError",
+    "InfeasibleMomentsError",
+    "RankDeficiencyError",
+    "UnsupportedStructureError",
+]
+
 
 class SizeLimitError(Exception):
     """Input exceeds the desk-scale guard of an exact-algebra routine."""

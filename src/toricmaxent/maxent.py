@@ -184,14 +184,9 @@ class PolySystem:
 
 def shannon_entropy(p: Sequence) -> float:
     """Entropy ``-sum p_j ln p_j`` in nats, with ``0 ln 0 = 0``."""
-    total = 0.0
-    for x in p:
-        x = float(x)
-        if x < 0:
-            raise ValueError("negative probability")
-        if x > 0:
-            total -= x * math.log(x)
-    return total
+    # the divergence from unit weights negated, bit for bit: rounding is symmetric
+    # under negation, and ``0.0 -`` keeps ``+0.0`` where the running sum is zero
+    return 0.0 - kl_divergence(p, [1.0] * len(p))
 
 
 def kl_divergence(p: Sequence, h: Sequence) -> float:

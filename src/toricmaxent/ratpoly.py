@@ -33,7 +33,6 @@ from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
-    "Exponents",
     "MonomialOrder",
     "LEX",
     "GREVLEX",
@@ -296,9 +295,25 @@ def _mono_times(p: Polynomial, coeff: Fraction, exps: Exponents) -> Iterable[tup
         yield tuple(map(add, e, exps)), c * coeff
 
 
-def _divide_impl(f, divisors, order, want_quotients):
+def multivariate_divide(
+    f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
+) -> tuple[list[Polynomial], Polynomial]:
+    """Divide ``f`` by an ordered list of divisors.
+
+    Returns ``(quotients, remainder)`` with ``f == sum(q*g) + remainder``
+    exactly, and no remainder term divisible by any divisor's leading term.
+    """
+    divisors = list(divisors)
+    if not divisors:
+        raise ValueError("empty divisor list")
+    _reject_laurent([f, *divisors])
+    for g in divisors:
+        if g.vars != f.vars:
+            raise ValueError("divisor over a different variable list")
+        if not g.terms:
+            raise ValueError("zero divisor")
     lead = [g.leading_term(order)[0] for g in divisors]
-    quotients = [dict() for _ in divisors] if want_quotients else None
+    quotients = [dict() for _ in divisors]
     remainder: dict[Exponents, Fraction] = {}
     work = dict(f.terms)
     while work:
@@ -308,8 +323,7 @@ def _divide_impl(f, divisors, order, want_quotients):
             if _divides(g_exps, exps):
                 q_exps = tuple(a - b for a, b in zip(exps, g_exps))
                 q_coeff = coeff / divisors[i].terms[g_exps]
-                if want_quotients:
-                    quotients[i][q_exps] = quotients[i].get(q_exps, 0) + q_coeff
+                quotients[i][q_exps] = quotients[i].get(q_exps, 0) + q_coeff
                 for t_exps, t_coeff in _mono_times(divisors[i], q_coeff, q_exps):
                     acc = work.get(t_exps, 0) - t_coeff
                     if acc:
@@ -320,42 +334,13 @@ def _divide_impl(f, divisors, order, want_quotients):
         else:
             remainder[exps] = coeff
             del work[exps]
-    rem = Polynomial._raw(f.vars, remainder)
-    if not want_quotients:
-        return rem
     qs = [Polynomial._raw(f.vars, {e: c for e, c in q.items() if c}) for q in quotients]
-    return qs, rem
-
-
-def _check_division_args(f, divisors):
-    if not divisors:
-        raise ValueError("empty divisor list")
-    _reject_laurent([f, *divisors])
-    for g in divisors:
-        if g.vars != f.vars:
-            raise ValueError("divisor over a different variable list")
-        if not g.terms:
-            raise ValueError("zero divisor")
-
-
-def multivariate_divide(
-    f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
-) -> tuple[list[Polynomial], Polynomial]:
-    """Divide ``f`` by an ordered list of divisors.
-
-    Returns ``(quotients, remainder)`` with ``f == sum(q*g) + remainder``
-    exactly, and no remainder term divisible by any divisor's leading term.
-    """
-    divisors = list(divisors)
-    _check_division_args(f, divisors)
-    return _divide_impl(f, divisors, order, True)
+    return qs, Polynomial._raw(f.vars, remainder)
 
 
 def normal_form(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
     """Remainder of ``f`` on division by ``divisors`` (quotients discarded)."""
-    divisors = list(divisors)
-    _check_division_args(f, divisors)
-    return _divide_impl(f, divisors, order, False)
+    return multivariate_divide(f, divisors, order)[1]
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -498,7 +483,7 @@ def _pseudo_reduce(terms, divisors, lead, key) -> dict[Exponents, int]:
 
     ``terms`` has integer coefficients; ``divisors`` are integer
     polynomials with positive leading coefficients at the exponents
-    ``lead``.  The steps are those of :func:`_divide_impl`, with each
+    ``lead``.  The steps are those of :func:`multivariate_divide`, with each
     rational step ``w - (c/a)*m*g`` replaced by ``(a/k)*w - (c/k)*m*g``,
     ``k = gcd(a, c)``.  The content is taken out after every step, so
     every intermediate is primitive.  ``key`` is the order's sort key, or

@@ -171,7 +171,7 @@ def test_parse_accepts_every_prior_weight_form():
     assert parse_problem(_doc(prior=[1, 2, 3])).prior == (1, 2, 3)
     parsed = parse_problem(_doc(samples=[3, 1, 3]))
     assert parsed.samples == (3, 1, 3)
-    assert parsed.rows[0] == (0, 1, 2)
+    assert parsed.matrix.rows[0] == (0, 1, 2)
 
 
 # --- fit command ---
@@ -999,14 +999,27 @@ def test_fit_target_beyond_float_range(tmp_path, solver):
 
 @pytest.mark.parametrize(
     "doc, message",
-    [(HUGE_VALUES, "constraint values are too large for a float"), (HUGE_TARGET, "targets are too large for a float")],
-    ids=["values", "target"],
+    [
+        (HUGE_VALUES, "constraint values are too large for a float"),
+        (HUGE_TARGET, "targets are too large for a float"),
+        (HUGE_PRIOR, "prior weights are too large for a float"),
+    ],
+    ids=["values", "target", "prior"],
 )
 def test_check_numbers_beyond_float_range_exit_two(tmp_path, doc, message):
     dist = tmp_path / "p.json"
     dist.write_text("[0.25, 0.5, 0.25]")
     code, out, err = run(["check", _write_text(tmp_path, doc), "--dist", str(dist)])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("dist", ["[0.5, 0.25, 0.25]", "[0, 1, 0]"], ids=["full", "one-symbol"])
+def test_entropy_prior_beyond_float_range_exits_two(tmp_path, dist):
+    # the same diagnosis as ``fit`` and ``check``, whatever the distribution
+    dist_path = tmp_path / "p.json"
+    dist_path.write_text(dist)
+    code, out, err = run(["entropy", _write_text(tmp_path, HUGE_PRIOR), "--dist", str(dist_path)])
+    assert (code, out, err) == (2, "", "error: prior weights are too large for a float\n")
 
 
 # sha256 of the exit code, stdout and stderr of the text and then the json run
@@ -1041,7 +1054,7 @@ def test_numeric_fit_never_builds_python_int_rows():
         fit_numeric(parsed.to_problem(), solver=solver, tol=1e-8)
     # ``rows`` is a cached property: it is in the instance dict once built
     assert "rows" not in vars(parsed.matrix)
-    assert parsed.rows[1][:4] == (0, 1, 2, 0) and "rows" in vars(parsed.matrix)
+    assert parsed.matrix.rows[1][:4] == (0, 1, 2, 0) and "rows" in vars(parsed.matrix)
 
 
 @pytest.mark.parametrize("command", ["check", "entropy"])

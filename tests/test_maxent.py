@@ -71,6 +71,31 @@ def test_entropy_exact_rationals_accepted():
     assert shannon_entropy([Fraction(1, 2), Fraction(1, 2)]) == pytest.approx(math.log(2))
 
 
+def _entropy_loop(p):
+    """Reference: ``-sum p_j ln p_j`` summed left to right."""
+    total = 0.0
+    for x in p:
+        x = float(x)
+        if x > 0:
+            total -= x * math.log(x)
+    return total
+
+
+ENTROPY_ENTRIES = st.one_of(
+    st.sampled_from([0, 0.0, 1, 1.0, 5e-324]),
+    st.floats(0.0, 1.0),
+    st.floats(5e-324, 1e-300),
+    st.fractions(0, 1, max_denominator=10**6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ENTROPY_ENTRIES, max_size=12))
+def test_entropy_matches_the_reference_loop_bit_for_bit(p):
+    # ``hex`` tells ``+0.0`` from ``-0.0``
+    assert shannon_entropy(p).hex() == _entropy_loop(p).hex()
+
+
 def test_kl_zero_iff_equal():
     assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
     assert kl_divergence([0.6, 0.4], [0.5, 0.5]) > 0
