@@ -6,19 +6,26 @@ rank deficiency), 2 input error, 3 size limit.  Identical inputs and flags
 produce byte-identical output.
 
 A numeric fit of a valid document loops over the alphabet only in C.
-Each array field (``values``, ``samples``, ``prior``) is validated in one
-pass of ``set(map(type, xs))``, plus ``min`` and ``max`` for ``samples``
-and ``min`` for ``prior``; ``values`` gets the type check only.  Only when
+Each ``values`` row is checked and converted by one ``bytes(values)``
+call, which raises on any entry that is not an int in 0..255; when every
+row passes, the rows are joined and read by one ``np.frombuffer`` as the
+uint8 array of the :class:`ConstraintMatrix`.  ``bytes`` also takes a
+bool, which JSON yields only from the literals ``true`` and ``false``, so
+a document whose text holds either literal, or a row that ``bytes``
+rejects, takes the general path.  There each array field (``values``,
+``samples``, ``prior``) is validated in one pass of
+``set(map(type, xs))``, plus ``min`` and ``max`` for ``samples`` and
+``min`` for ``prior``; ``values`` gets the type check only.  Only when
 that fails is the field scanned again in order, so the message names the
-first bad index.  The checked ``values`` of all rows then become the
-:class:`ConstraintMatrix` of the document through one ``np.array`` call:
-an int64 array, or an object array of the same ints when an entry does
-not fit, so a huge entry still reaches the exact path.  A numeric fit
-converts that array to floats once and never builds tuples of Python
-ints.  A list of Python floats is emitted by one ``%`` call.  A fitted
-``p`` is emitted from the float array of ``DistributionVector.to_array()``;
-when it is long and at least half its entries repeat, as in a toric model
-with few distinct columns and weights, each distinct value is formatted once.
+first bad index.  On the general path the checked ``values`` of all rows
+become the matrix through one ``np.array`` call: an int64 array, or an
+object array of the same ints when an entry does not fit, so a huge entry
+still reaches the exact path.  A numeric fit converts the matrix to floats
+once and never builds tuples of Python ints.  A list of Python floats is
+emitted by one ``%`` call.  A fitted ``p`` is emitted from the float array
+of ``DistributionVector.to_array()``; when it is long and at least half its
+entries repeat, as in a toric model with few distinct columns and weights,
+each distinct value is formatted once.
 """
 
 from __future__ import annotations
@@ -145,6 +152,8 @@ def parse_problem(text: str) -> ProblemDef:
                     raise InputError(f"samples[{j}]: symbol {value} outside 1..{m}")
         samples = tuple(samples)
 
+    # ``bytes`` takes a bool as 0 or 1, and JSON yields a bool only from these literals
+    packed = None if "true" in text or "false" in text else []
     rows, targets = [], []
     for i, raw in enumerate(raw_constraints):
         path = f"constraints[{i}]"
@@ -156,7 +165,12 @@ def parse_problem(text: str) -> ProblemDef:
         values = raw.get("values")
         if not isinstance(values, list) or len(values) != m:
             raise InputError(f"{path}.values: expected an array of length {m}")
-        if not _all_ints(values):
+        if packed is not None:
+            try:
+                packed.append(bytes(values))
+            except (TypeError, ValueError):
+                packed = None
+        if packed is None and not _all_ints(values):
             for j, value in enumerate(values):
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise InputError(f"{path}.values[{j}]: integer-valued constraint functions are required")
@@ -184,8 +198,11 @@ def parse_problem(text: str) -> ProblemDef:
             prior = weights
         prior = tuple(prior)
 
-    # every entry is a Python int by now: one call builds the array, and the matrix copies it
-    matrix = ConstraintMatrix(_int_array(rows))
+    if packed is not None:
+        matrix = ConstraintMatrix(np.frombuffer(b"".join(packed), np.uint8).reshape(len(packed), m))
+    else:
+        # every entry is a Python int by now: one call builds the array, and the matrix copies it
+        matrix = ConstraintMatrix(_int_array(rows))
     return ProblemDef(matrix, None if samples is not None else tuple(targets), samples, prior)
 
 
@@ -214,18 +231,11 @@ def _join_array(arr: np.ndarray, sep: str) -> str:
     the whole array takes one ``%`` call.
     """
     if len(arr) >= _GATHER_MIN:
-        bits = arr.view(np.uint64)
-        # sort and compare neighbours: np.unique(bits, return_inverse=True) is faster on 10^4-10^5
-        # keys with 125 distinct values but slower on 10^6 keys with 5 (28 vs 22 ms; numpy 2.4.6,
-        # one 2-vCPU Xeon VM)
-        ordered = np.sort(bits)
-        fresh = np.ones(len(ordered), dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-        distinct = ordered[fresh]
+        distinct, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
         if 2 * len(distinct) <= len(arr):
             # no ``%.17g`` text contains a space, so splitting on ``sep`` recovers each one
             texts = np.array(_format_floats(distinct.view(np.float64).tolist(), sep).split(sep), dtype=object)
-            return sep.join(texts[np.searchsorted(distinct, bits)].tolist())
+            return sep.join(texts[inverse].tolist())
     return _format_floats(arr.tolist(), sep)
 
 

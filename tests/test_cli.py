@@ -174,6 +174,91 @@ def test_parse_accepts_every_prior_weight_form():
     assert parsed.matrix.rows[0] == (0, 1, 2)
 
 
+def _reference_values(text: str) -> np.ndarray:
+    """The ``values`` checks of ``parse_problem`` as a type scan per row, kept here as the oracle.
+
+    A row whose types are not all ``int`` is rescanned in order, so the
+    message names its first bad entry; the rows then become one int64
+    array, or an object array of the same ints when an entry does not fit.
+    """
+    rows = []
+    for i, raw in enumerate(json.loads(text, parse_float=Fraction)["constraints"]):
+        values = raw["values"]
+        if not set(map(type, values)) <= {int}:
+            for j, value in enumerate(values):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise InputError(f"constraints[{i}].values[{j}]: integer-valued constraint functions are required")
+        rows.append(values)
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+_ODD_VALUES = [256, -1, 2**63, -(2**63), 2**63 - 1, -(2**63) - 1, 10**400, 0.0, 1.5, -0.0, 1e300,
+               "1", None, [1], [[0, 1]], True, False]
+# "true" and "false" inside a name put the literals in the text without a bool in the document
+_NAMES = ["f", "true", "false", "untrue", "x-false-y", "True", "FALSE"]
+
+
+@st.composite
+def _values_documents(draw):
+    """A problem text whose rows are all in 0..255 or mixed with odd entries, and its other fields."""
+    m, d = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    byte_row = st.lists(st.integers(0, 255), min_size=m, max_size=m)
+    odd_row = st.lists(st.one_of(st.integers(0, 255), st.sampled_from(_ODD_VALUES)), min_size=m, max_size=m)
+    rows = [draw(st.one_of(byte_row, odd_row)) for _ in range(d)]
+    constraints = [{"name": draw(st.sampled_from(_NAMES)), "values": row} for row in rows]
+    doc = {"m": m, "constraints": constraints}
+    targets = samples = prior = None
+    if draw(st.booleans()):
+        samples = tuple(draw(st.lists(st.integers(1, m), min_size=1, max_size=8)))
+        doc["samples"] = list(samples)
+    else:
+        targets = tuple(draw(st.lists(st.fractions(-9, 9, max_denominator=7), min_size=d, max_size=d)))
+        for c, t in zip(constraints, targets):
+            c["target"] = int(t) if t.denominator == 1 else f"{t.numerator}/{t.denominator}"
+    if draw(st.booleans()):
+        prior = tuple(draw(st.lists(st.integers(1, 5), min_size=m, max_size=m)))
+        doc["prior"] = list(prior)
+    return json.dumps(doc), targets, samples, prior
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values_documents())
+def test_parse_values_agree_with_the_type_scan(case):
+    text, targets, samples, prior = case
+    try:
+        expected = _reference_values(text)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            parse_problem(text)
+        assert str(got.value) == str(exc)
+        return
+    parsed = parse_problem(text)
+    assert parsed.matrix.entries.dtype == expected.dtype
+    assert np.array_equal(parsed.matrix.entries, expected)
+    assert (parsed.targets, parsed.samples, parsed.prior) == (targets, samples, prior)
+
+
+def test_true_literal_takes_the_general_values_path_with_the_same_output(write_json, monkeypatch):
+    import toricmaxent.cli as cli
+    from toricmaxent.toric import _int_array
+
+    # counts the documents that build their matrix the general way
+    general = []
+    monkeypatch.setattr(cli, "_int_array", lambda rows: general.append(len(rows)) or _int_array(rows))
+    doc = _large_problem(8, 10_000, 3, "prior")
+    outputs = []
+    for name in ("f1", "true"):
+        doc["constraints"][0]["name"] = name
+        code, out, err = run(["fit", write_json(doc), "--format", "json"])
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert len(general) == 1 and len(outputs[0]) > 200_000
+    assert outputs[0] == outputs[1]
+
+
 # --- fit command ---
 
 
