@@ -2,8 +2,9 @@
 
 Problems arrive as JSON documents; results go to stdout, diagnostics to
 stderr.  Exit codes: 0 success, 1 solver failure (infeasible moments or
-rank deficiency), 2 input error, 3 size limit.  Identical inputs and flags
-produce byte-identical output.
+rank deficiency) or, from the console entry, a stdout closed before the
+output was written, 2 input error, 3 size limit.  Identical inputs and
+flags produce byte-identical output.
 
 A numeric fit of a valid document loops over the alphabet only in C.
 Each ``values`` row is checked and converted by one ``bytes(values)``
@@ -21,17 +22,18 @@ first bad index.  On the general path the checked ``values`` of all rows
 become the matrix through one ``np.array`` call: an int64 array, or an
 object array of the same ints when an entry does not fit, so a huge entry
 still reaches the exact path.  A numeric fit converts the matrix to floats
-once and never builds tuples of Python ints.  A list of Python floats is
-emitted by one ``%`` call.  A fitted ``p`` is emitted from the float array
-of ``DistributionVector.to_array()``; when it is long and at least half its
-entries repeat, as in a toric model with few distinct columns and weights,
-each distinct value is formatted once.
+once and never builds tuples of Python ints.  Any list or tuple that is
+not all strings is emitted by one ``%`` call.  A fitted ``p`` is emitted
+from the float array of ``DistributionVector.to_array()``; when it is long
+and at least half its entries repeat, as in a toric model with few
+distinct columns and weights, each distinct value is formatted once.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -239,20 +241,6 @@ def _join_array(arr: np.ndarray, sep: str) -> str:
     return _format_floats(arr.tolist(), sep)
 
 
-def _join(values, sep: str, item) -> str:
-    """``item`` of each value joined by ``sep``; a list of Python floats takes one ``%`` call.
-
-    Float arrays, such as a fitted ``p``, go to :func:`_join_array` instead.
-    """
-    if set(map(type, values)) == {float}:
-        return _format_floats(values, sep)
-    return sep.join(map(item, values))
-
-
-def _text_item(value) -> str:
-    return _format_real(value) if isinstance(value, float) else str(value)
-
-
 def _to_json(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -265,7 +253,9 @@ def _to_json(value) -> str:
     if isinstance(value, np.ndarray):
         return "[" + _join_array(value, ", ") + "]"
     if isinstance(value, (list, tuple)):
-        return "[" + _join(value, ", ", _to_json) + "]"
+        if set(map(type, value)) <= {str}:
+            return "[" + ", ".join(map(json.dumps, value)) + "]"
+        return "[" + _format_floats(value, ", ") + "]"
     if isinstance(value, dict):
         items = (f"{json.dumps(k)}: {_to_json(v)}" for k, v in value.items())
         return "{" + ", ".join(items) + "}"
@@ -283,12 +273,11 @@ def _emit(out, payload: dict, fmt: str) -> None:
             out.write(f"{key}: {_format_real(value)}\n")
         elif isinstance(value, np.ndarray):
             out.write(f"{key}: {_join_array(value, ' ')}\n")
+        elif isinstance(value, (list, tuple)) and set(map(type, value)) <= {str}:
+            for v in value:
+                out.write(f"{key}: {v}\n")
         elif isinstance(value, (list, tuple)):
-            if all(isinstance(v, str) for v in value):
-                for v in value:
-                    out.write(f"{key}: {v}\n")
-            else:
-                out.write(f"{key}: {_join(value, ' ', _text_item)}\n")
+            out.write(f"{key}: {_format_floats(value, ' ')}\n")
         else:
             out.write(f"{key}: {value}\n")
 
@@ -527,4 +516,13 @@ def main(argv=None, out=None, err=None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    """Console entry: ``main`` on the process streams, exiting 1 when stdout is closed."""
+    try:
+        code = main()
+        # flush here, so a closed stdout raises inside this block
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_SOLVER
+    raise SystemExit(code)

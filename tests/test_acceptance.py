@@ -7,7 +7,9 @@ pass/fail record. Tolerances are stated inline next to every assertion.
 import io
 import json
 import math
+import os
 import random
+import tempfile
 import time
 from fractions import Fraction
 
@@ -324,17 +326,33 @@ def prior_weighted_problems(draw):
     return ConstraintMatrix(rows), prior, xi
 
 
+@pytest.mark.parametrize("solver", ["newton", "gis"])
 @settings(max_examples=25, deadline=None)
 @given(prior_weighted_problems())
-def test_11_fit_then_check_holds_on_random_prior_weighted_models(case):
+def test_11_fit_then_check_holds_on_random_prior_weighted_models(solver, case):
     matrix, prior, xi = case
     lifted = ConstraintMatrix(((1,) * matrix.m,) + matrix.rows)
     # dependent or constant rows make the fit rank deficient
     assume(np.linalg.matrix_rank(lifted.to_array()) == matrix.d + 1)
     p_model, _ = model_distribution(matrix, xi, prior)
     targets = moments(matrix, list(p_model))
-    fit = fit_numeric(MaxEntProblem.from_targets(matrix, targets, prior=prior))
-    p = np.array(fit.p.as_floats())
+    constraints = [{"name": f"f{i + 1}", "values": list(row), "target": t} for i, (row, t) in enumerate(zip(matrix.rows, targets))]
+    doc = json.dumps({"m": matrix.m, "constraints": constraints, "prior": prior})
+    code, fitted, err = run_cli(["fit", "-", "--solver", solver, "--format", "json"], stdin=doc)
+    # GIS may stop at its iteration cap or divergence bound; Newton must fit every such model
+    if solver == "gis" and code == 1:
+        return
+    assert (code, err) == (0, "")
+    p = np.array(json.loads(fitted)["p"])
+    # Birch round trip: fitting the moments of a model point returns that point
+    assert np.abs(p - p_model.to_array()).max() <= 1e-8
+
+    # check accepts what fit produces, prior included
+    with tempfile.TemporaryDirectory() as tmp:
+        dist = os.path.join(tmp, "fitted.json")
+        with open(dist, "w") as fh:
+            fh.write(fitted)
+        assert run_cli(["check", "-", "--dist", dist], stdin=doc)[0] == 0
 
     report = verify_model_membership(p, matrix, tol=DEFAULT_TOL, prior=prior)
     assert report.member, report

@@ -5,9 +5,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -962,8 +965,8 @@ EDGE_PAYLOADS = {
     ),
     "mixed lists": (
         {"p": [1, 0.5, 2, -0.0], "q": [0.25, True, 3], "s": ["a", "b"], "e": [], "f": 1e-300, "n": None, "b": False},
-        '{"p": [1, 0.5, 2, -0], "q": [0.25, true, 3], "s": ["a", "b"], "e": [], "f": 1e-300, "n": null, "b": false}\n',
-        "p: 1 0.5 2 -0\nq: 0.25 True 3\ns: a\ns: b\nf: 1e-300\nn: None\nb: False\n",
+        '{"p": [1, 0.5, 2, -0], "q": [0.25, 1, 3], "s": ["a", "b"], "e": [], "f": 1e-300, "n": null, "b": false}\n',
+        "p: 1 0.5 2 -0\nq: 0.25 1 3\ns: a\ns: b\nf: 1e-300\nn: None\nb: False\n",
     ),
 }
 
@@ -1181,22 +1184,37 @@ def test_emitted_polynomials_reparse_equal(write_json):
         assert poly_to_text(f) == text
 
 
-def test_module_entry_point(write_json):
-    import os
-    import subprocess
-    from pathlib import Path
-
+def _module_env() -> dict:
+    """The environment in which a child imports the same package as this process, installed or not."""
     import toricmaxent
 
-    path = write_json(QUAD)
-    # the child imports the same package as this process, installed or not
     src = str(Path(toricmaxent.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_entry_point(write_json):
+    path = write_json(QUAD)
     proc = subprocess.run(
         [sys.executable, "-m", "toricmaxent", "system", path],
         capture_output=True,
         text=True,
-        env=env,
+        env=_module_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "t1^2 - 1\n"
+
+
+def test_closed_stdout_exits_one_without_a_traceback(write_json):
+    path = write_json(QUAD)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "toricmaxent", "fit", path, "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_module_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

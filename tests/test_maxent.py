@@ -520,6 +520,21 @@ def test_newton_converges_when_the_line_search_test_is_below_float_resolution(va
     assert fit.iterations < 10
 
 
+def test_newton_backtracks_and_lands_on_the_exact_point(monkeypatch):
+    # a target near the lower vertex makes full Newton steps overshoot, so the
+    # line search halves them; each halving normalizes one more trial point
+    from toricmaxent import maxent
+
+    calls = []
+    normalize = maxent._normalize
+    monkeypatch.setattr(maxent, "_normalize", lambda *args: calls.append(None) or normalize(*args))
+    target = Fraction(110606, 9217)
+    fit = fit_numeric(MaxEntProblem.from_targets(ConstraintMatrix([[12, 14]]), [target]), solver="newton")
+    assert len(calls) > fit.iterations + 2
+    p2 = float((target - 12) / 2)
+    assert fit.p.as_floats() == pytest.approx([1 - p2, p2], abs=1e-12)
+
+
 def test_exhausted_iteration_budget_raises():
     for solver, budget in (("gis", 2), ("newton", 1)):
         with pytest.raises(InfeasibleMomentsError):
