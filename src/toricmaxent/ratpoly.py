@@ -389,11 +389,12 @@ class GroebnerBasis:
 
 
 def _lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _coprime(a: Exponents, b: Exponents) -> bool:
-    return not any(x and y for x, y in zip(a, b))
+    # exponents are non-negative in both engines, so a shared variable has a positive minimum
+    return not any(map(min, a, b))
 
 
 class _PairQueue:

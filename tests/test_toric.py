@@ -11,9 +11,14 @@ import pytest
 from toricmaxent.errors import SizeLimitError
 from toricmaxent.maxent import MaxEntProblem
 from toricmaxent.ratpoly import GREVLEX, LEX, Polynomial, buchberger, normal_form, parse_poly, poly_to_text
+import toricmaxent.toric
 from toricmaxent.toric import (
     ConstraintMatrix,
     DistributionVector,
+    MonomialOrder,
+    _binomial_groebner,
+    _identity_block,
+    _shorten,
     integer_kernel_basis,
     toric_ideal_generators,
     toric_param,
@@ -309,6 +314,9 @@ def test_generators_vanish_on_the_model_exactly():
         ([[1, 4, 2, -2, -2], [4, 1, 4, 2, 0], [2, 2, -1, 2, 1]], None),
         # rational normal curve m=10: the C(9, 2) = 36 quadrics
         ([[1] * 10, list(range(1, 11))], 36),
+        # over 10 s when the lattice basis was only the first identity block in natural
+        # order, not the shortened basis and the block with the smallest entries
+        ([[0, 4, 3, 1, 1, 2, -2], [-2, 1, 2, 0, 4, 1, -2], [3, 1, -1, 2, 1, -2, 2]], None),
     ],
 )
 def test_ideal_generators_of_larger_models(rows, count):
@@ -376,6 +384,113 @@ def test_saturation_matches_the_w_elimination_text():
         reference = w_elimination_reference(matrix)
         for order in (GREVLEX, LEX):
             assert [poly_to_text(g, order) for g in gens] == [poly_to_text(g, order) for g in reference], rows
+
+
+def all_coordinate_saturation_reference(matrix):
+    """The toric ideal by saturating the shortened lattice basis by every coordinate.
+
+    The homogenized binomials of the shortened basis of ``ker A`` get one
+    grevlex saturation step for each coordinate that occurs, with no identity
+    block; a lex Buchberger with the slack set to 1 gives the reduced basis.
+    """
+    m = matrix.m
+    lattice = [u + (-sum(u),) for u in _shorten(integer_kernel_basis(matrix))]
+    if not lattice:
+        return ()
+    gens = [(tuple(max(v, 0) for v in u), tuple(max(-v, 0) for v in u)) for u in lattice]
+    for k in range(m):
+        if not any(a[k] or b[k] for a, b in gens):
+            continue
+        order = MonomialOrder("grevlex", tuple(i for i in range(m + 1) if i != k) + (k,))
+        saturated = []
+        for a, b in _binomial_groebner(gens, order):
+            c = min(a[k], b[k])
+            saturated.append((a[:k] + (a[k] - c,) + a[k + 1 :], b[:k] + (b[k] - c,) + b[k + 1 :]))
+        gens = saturated
+    pvars = tuple(f"p{j + 1}" for j in range(m))
+    return buchberger([Polynomial(pvars, {a[:m]: 1, b[:m]: -1}) for a, b in gens], LEX).basis
+
+
+# the ideal shapes of the benchmark corpus: rational normal curves, the die,
+# independence models and a 3-row model
+BENCHMARK_IDEALS = [
+    [[1, 1, 1, 1], [1, 2, 3, 4]],
+    [[1, 1, 1, 1, 1], [1, 2, 3, 4, 5]],
+    [[1, 1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6]],
+    [[1, 2, 3, 4, 5, 6]],
+    [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]],
+    [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1], [1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]],
+    [
+        [1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 1],
+        [1, 0, 0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 1, 0], [0, 0, 0, 1, 0, 0, 0, 1],
+    ],
+    [
+        [1, 1, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 1, 1],
+        [1, 0, 0, 1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1, 0, 0, 1],
+    ],
+    [
+        [1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 1],
+        [1, 1, 0, 0, 1, 1, 0, 0], [0, 0, 1, 1, 0, 0, 1, 1],
+        [1, 0, 1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1, 0, 1],
+    ],
+    [[1, 1, 1, 1, 1, 1, 1], [0, 1, 2, 3, 4, 5, 6], [0, 1, 0, 1, 0, 1, 0]],
+]
+
+
+def test_block_saturation_matches_the_all_coordinate_text():
+    rng = random.Random(22)
+    matrices = list(BENCHMARK_IDEALS)
+    for _ in range(40):
+        m, d = rng.randint(3, 7), rng.randint(1, 3)
+        matrices.append([[rng.randint(-2, 4) for _ in range(m)] for _ in range(d)])
+    blocks = []
+    for rows in matrices:
+        matrix = ConstraintMatrix(rows)
+        basis = _shorten(integer_kernel_basis(matrix))
+        blocks.append(bool(basis) and bool(_identity_block(matrix, basis)[0]))
+        gens = toric_ideal_generators(matrix)
+        reference = all_coordinate_saturation_reference(matrix)
+        for order in (GREVLEX, LEX):
+            assert [poly_to_text(g, order) for g in gens] == [poly_to_text(g, order) for g in reference], rows
+    # every benchmark shape has a block; the random draws have matrices with and without one
+    assert all(blocks[: len(BENCHMARK_IDEALS)])
+    assert set(blocks[len(BENCHMARK_IDEALS) :]) == {True, False}
+
+
+def test_identity_block_is_an_integer_kernel_basis():
+    rng = random.Random(5)
+    for _ in range(30):
+        m, d = rng.randint(2, 7), rng.randint(1, 3)
+        matrix = ConstraintMatrix([[rng.randint(-2, 4) for _ in range(m)] for _ in range(d)])
+        basis = integer_kernel_basis(matrix)
+        if not basis:
+            continue
+        block, unit = _identity_block(matrix, basis)
+        if not block:
+            continue
+        assert len(block) == len(unit) == len(basis)
+        for i, u in enumerate(unit):
+            assert [u[k] for k in block] == [int(i == n) for n in range(len(block))]
+            assert all(sum(map(mul, row, u)) == 0 for row in matrix.rows)
+
+
+@pytest.mark.parametrize(
+    "rows, saturations",
+    [([[1, 2, 3, 4, 5, 6]], 1)]
+    + [([[1] * m, list(range(1, m + 1))], 2) for m in range(4, 11)]
+    + [(BENCHMARK_IDEALS[8], 4)],
+)
+def test_saturation_steps_skip_the_identity_block(monkeypatch, rows, saturations):
+    # one grevlex step per coordinate outside the block: rank A of them, not m
+    orders = []
+
+    def counted(binomials, order):
+        orders.append(order.kind)
+        return _binomial_groebner(binomials, order)
+
+    monkeypatch.setattr(toricmaxent.toric, "_binomial_groebner", counted)
+    toric_ideal_generators(ConstraintMatrix(rows))
+    assert orders.count("grevlex") == saturations
 
 
 def test_ideal_alphabet_size_limit():
