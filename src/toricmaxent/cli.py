@@ -293,9 +293,17 @@ def _read_text(path: str) -> str:
 
 
 def _read_distribution(path: str, m: int) -> tuple[float, ...]:
+    """The ``m`` probabilities of a distribution file, as floats.
+
+    Numbers parse straight to floats, each rounded once, as ``float`` of the
+    exact decimal would be; ``+ 0.0`` turns ``-0.0`` into ``0.0``.  A number
+    beyond float range reads as infinite and is reported as too large;
+    ``NaN`` and ``Infinity``, which JSON does not allow, parse to strings and
+    are not numbers.
+    """
     text = _read_text(path)
     try:
-        doc = json.loads(text, parse_float=Fraction)
+        doc = json.loads(text, parse_constant=str)
     except json.JSONDecodeError as exc:
         raise InputError(f"distribution file: invalid JSON: {exc}") from None
     if isinstance(doc, dict):
@@ -306,12 +314,15 @@ def _read_distribution(path: str, m: int) -> tuple[float, ...]:
         raise InputError(f"distribution file: expected {m} probabilities, got {len(doc)}")
     values = []
     for j, value in enumerate(doc):
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InputError(f"distribution file: p[{j}] is not a number")
         try:
-            values.append(float(value))
-        except OverflowError:
-            raise InputError(f"distribution file: p[{j}] is too large for a float") from None
+            x = float(value) + 0.0
+        except OverflowError:  # an int beyond float range
+            x = math.inf
+        if math.isinf(x):
+            raise InputError(f"distribution file: p[{j}] is too large for a float")
+        values.append(x)
     if any(x < 0 for x in values):
         raise InputError("distribution file: negative probability")
     return tuple(values)

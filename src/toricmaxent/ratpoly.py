@@ -11,7 +11,10 @@ Coefficients are ``Fraction`` at the interface.  Inside :func:`buchberger`
 they are integers: every element is a primitive integer polynomial, reduced
 by pseudo-division, and the basis turns monic over ``Fraction`` only when it
 is returned.  :func:`normal_form` and :func:`multivariate_divide` stay over
-``Fraction``.
+``Fraction``.  Terms are keyed by exponent tuples throughout; only the
+critical-pair queue that :func:`buchberger` shares with the binomial engine
+of ``toric`` packs each leading exponent vector into one int
+(:class:`_Packing`), on which divisibility and lcm are a few int operations.
 
 Example::
 
@@ -27,9 +30,9 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, and_, le, lshift, sub
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -356,7 +359,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     if f.vars != g.vars:
         raise ValueError("polynomials are over different variable lists")
     (fe, fc), (ge, gc) = f.leading_term(order), g.leading_term(order)
-    lcm_exps = _lcm(fe, ge)
+    lcm_exps = tuple(map(max, fe, ge))
     fp, fq, gp, gq = fc.numerator, fc.denominator, gc.numerator, gc.denominator
     k = gcd(fp * gq, gp * fq)
     terms = dict(_mono_times(f, gp * fq // k, tuple(map(sub, lcm_exps, fe))))
@@ -388,27 +391,108 @@ class GroebnerBasis:
         return not self.normal_form(f).terms
 
 
-def _lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
+class _Packing:
+    """Exponent vectors of ``n`` variables packed into one int each, for ``order``.
 
+    Each variable gets a field of ``width`` bits, laid out by the order's
+    priority: under lex the most significant variable sits in the top field,
+    so a packed int compares as the order does; under grevlex the least
+    significant one does, and the sort key is the degree above the
+    complement, ``deg << (width * n) | (FULL - p)`` with ``FULL`` the largest
+    packed value (Bachmann and Schoenemann, ISSAC 1998).  A field holds
+    values below ``2**(width - spare)``; the ``spare = n.bit_length()`` top
+    bits of every field, the ``over`` mask, stay clear, so the degree, the
+    sum of all fields, fits in one field and is ``p % (2**width - 1)``.
 
-def _coprime(a: Exponents, b: Exponents) -> bool:
-    # exponents are non-negative in both engines, so a shared variable has a positive minimum
-    return not any(map(min, a, b))
+    On packed exponents, ``e`` is divisible by ``a`` when
+    ``((e | guard) - a) & guard == guard``, with ``guard`` the top bit of
+    every field; a product is ``+``, a quotient ``-``, and ``a`` and ``b``
+    are coprime when their lcm is ``a + b``.  A sum that sets a bit of
+    ``over`` has left the fields: the caller repacks at double width with
+    :meth:`wider`.  There is no cap on the width.
+
+    >>> order = MonomialOrder("grevlex", (2, 0, 1))
+    >>> packing = _Packing(order, 3)
+    >>> packing.unpack(packing.pack((7, 0, 2)))
+    (7, 0, 2)
+    >>> packing.wider().width
+    32
+    >>> wide = _Packing(order, 3, top=2**40)
+    >>> wide.width, wide.unpack(wide.pack((7, 0, 2**40)))
+    (64, (7, 0, 1099511627776))
+    >>> exps = [(1, 0, 5), (0, 2, 4), (3, 3, 0), (0, 0, 6), (2, 2, 2), (6, 0, 0)]
+    >>> for kind in ("lex", "grevlex"):
+    ...     order = MonomialOrder(kind, (2, 0, 1))
+    ...     packing = _Packing(order, 3)
+    ...     print(sorted(exps, key=lambda e: packing.key(packing.pack(e))) == sorted(exps, key=order.key))
+    True
+    True
+    """
+
+    def __init__(self, order: MonomialOrder, n: int, top: int = 0, width: int = 16) -> None:
+        spare = n.bit_length()
+        while top >> (width - spare - 4):  # room for products of up to 16 times ``top``
+            width *= 2
+        priority = order.arrange(range(n))
+        fields = priority[::-1] if order.kind == "lex" else priority  # field 0 at the bottom
+        shifts = [0] * n
+        for f, i in enumerate(fields):
+            shifts[i] = f * width
+        ones = sum(1 << (f * width) for f in range(n))
+        self.order, self.n, self.width = order, n, width
+        self._shifts = shifts
+        self._limit = 1 << (width - spare)
+        self._mask = (1 << width) - 1
+        self.guard = ones << (width - 1)
+        self.over = ones * ((1 << width) - self._limit)
+        self._modulus = (1 << width) - 1
+        self._span = width * n
+        self.key = self._lex_key if order.kind == "lex" else self._grevlex_key
+
+    def wider(self) -> "_Packing":
+        """The same layout at double field width."""
+        return _Packing(self.order, self.n, width=2 * self.width)
+
+    def pack(self, exps: Sequence[int]) -> int:
+        """One int for ``exps``; ``OverflowError`` when an entry does not fit."""
+        if min(exps) < 0:
+            raise ValueError("negative exponent")
+        if max(exps) >= self._limit:
+            raise OverflowError("exponent wider than the packed field")
+        return sum(map(lshift, exps, self._shifts))
+
+    def unpack(self, p: int) -> Exponents:
+        return tuple(map(and_, map(p.__rshift__, self._shifts), repeat(self._mask)))
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise maximum: ``a`` where its field is at least ``b``'s, else ``b``."""
+        guard = self.guard
+        ge = ((a | guard) - b) & guard
+        return b ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))
+
+    @staticmethod
+    def _lex_key(p: int) -> int:
+        return p
+
+    def _grevlex_key(self, p: int) -> int:
+        # ``deg << span | (FULL - p)`` up to a constant: ``p < 2**span``
+        return (p % self._modulus << self._span) - p
 
 
 class _PairQueue:
     """Critical pairs of a Buchberger run under the Gebauer-Moeller update.
 
-    The update needs only the elements' leading exponents, kept in ``lead``
-    in the order :meth:`add` received them, and the order's key, so the
-    rational and the binomial engines share it; :meth:`minimal` picks a
-    minimal basis from the same exponents.  Pending pairs wait in a heap,
-    keyed once when they are made by the order key of their leading-term
-    lcm; iterating yields the live pair ``(i, j)`` with the smallest lcm
-    until none is left, and may be interleaved with ``add``.  Each new
-    leading exponent ``ht`` goes through the update (Gebauer and Moeller,
-    JSC 1988):
+    The update needs only the elements' leading exponents, packed by the
+    queue's :class:`_Packing` and kept in ``lead`` in the order :meth:`add`
+    received them, so the rational and the binomial engines share it;
+    :meth:`minimal` picks a minimal basis from the same exponents.  A caller
+    packs an exponent vector with :meth:`pack`, which widens the queue's
+    fields when the vector does not fit.  Pending pairs wait in a heap,
+    keyed once when they are made by the packed order key of their
+    leading-term lcm; iterating yields the live pair ``(i, j)`` with the
+    smallest lcm until none is left, and may be interleaved with ``add``.
+    Each new leading exponent ``ht`` goes through the update (Gebauer and
+    Moeller, JSC 1988):
 
     - criterion M drops a new pair whose lcm another new pair's lcm
       divides, and criterion F keeps one new pair per lcm;
@@ -421,48 +505,73 @@ class _PairQueue:
     but stays a reducer.
     """
 
-    def __init__(self, order: MonomialOrder) -> None:
-        self._key = order.key
-        self.lead: list[Exponents] = []
+    def __init__(self, packing: _Packing) -> None:
+        self.packing = packing
+        self.lead: list[int] = []
         self._active: list[int] = []  # elements that new pairs are formed with
-        self._pending: dict[tuple[int, int], Exponents] = {}  # live pairs and their lcms
+        self._pending: dict[tuple[int, int], int] = {}  # live pairs and their lcms
         self._heap: list = []
 
-    def add(self, ht: Exponents) -> None:
+    def pack(self, exps: Sequence[int]) -> int:
+        """``exps`` packed for :meth:`add`, after widening the queue as needed."""
+        while True:
+            try:
+                return self.packing.pack(exps)
+            except OverflowError:
+                self._widen()
+
+    def _widen(self) -> None:
+        narrow = self.packing
+        wide = self.packing = narrow.wider()
+
+        def repack(p: int) -> int:
+            return wide.pack(narrow.unpack(p))
+
+        self.lead[:] = map(repack, self.lead)
+        self._pending = {pair: repack(lcm) for pair, lcm in self._pending.items()}
+        # repacking keeps the order of the keys, so the live pairs pop as they would have
+        self._heap = [(wide.key(lcm), i, j) for (i, j), lcm in self._pending.items()]
+        heapq.heapify(self._heap)
+
+    def add(self, ht: int) -> None:
         lead, pending = self.lead, self._pending
+        guard, lcm_of = self.packing.guard, self.packing.lcm
         t = len(lead)
         lead.append(ht)
         # criterion B on the pending pairs
         for (i, j), lcm in list(pending.items()):
-            if _divides(ht, lcm) and lcm != _lcm(lead[i], ht) and lcm != _lcm(lead[j], ht):
+            if ((lcm | guard) - ht) & guard == guard and lcm != lcm_of(lead[i], ht) and lcm != lcm_of(lead[j], ht):
                 del pending[(i, j)]
-        # criteria M and F on the new pairs; a coprime pair prunes, then goes
+        # criteria M and F on the new pairs; a coprime pair, lcm ``a + ht``, prunes, then goes
         active = self._active
-        lcms = [_lcm(lead[k], ht) for k in active]
+        lcms = [lcm_of(lead[k], ht) for k in active]
         kept: list[int] = []  # positions in ``active``
         for n, lcm in enumerate(lcms):
-            # ``all(map(le, ...))`` is ``_divides`` inlined: this is the update's hot loop
-            if _coprime(lead[active[n]], ht) or not any(
-                all(map(le, other, lcm)) for other in chain(lcms[n + 1 :], (lcms[q] for q in kept))
+            top = lcm | guard
+            if lcm == lead[active[n]] + ht or not any(
+                (top - other) & guard == guard for other in chain(lcms[n + 1 :], (lcms[q] for q in kept))
             ):
                 kept.append(n)
+        key = self.packing.key
         for n in kept:
             k = active[n]
-            if not _coprime(lead[k], ht):
+            if lcms[n] != lead[k] + ht:
                 pending[(k, t)] = lcms[n]
-                heapq.heappush(self._heap, (self._key(lcms[n]), k, t))
-        self._active = [k for k in active if not _divides(ht, lead[k])] + [t]
+                heapq.heappush(self._heap, (key(lcms[n]), k, t))
+        self._active = [k for k in active if ((lead[k] | guard) - ht) & guard != guard] + [t]
 
     def minimal(self) -> list[int]:
         """Indices of a minimal basis: no other leading exponent divides theirs.
 
         Of equal leading exponents the first one stays.
         """
-        lead = self.lead
-        return [
-            i for i, a in enumerate(lead)
-            if not any(_divides(b, a) and (b != a or j < i) for j, b in enumerate(lead) if j != i)
-        ]
+        lead, guard = self.lead, self.packing.guard
+        keep = []
+        for i, a in enumerate(lead):
+            top = a | guard
+            if not any((top - b) & guard == guard and (b != a or j < i) for j, b in enumerate(lead) if j != i):
+                keep.append(i)
+        return keep
 
     def __iter__(self):
         while self._heap:
@@ -548,12 +657,13 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> Groebn
 
     key = None if order == LEX else order.key  # under plain lex, tuples compare as the order does
     basis: list[Polynomial] = []  # primitive integer polynomials, positive leading coefficients
-    pairs = _PairQueue(order)
-    lead = pairs.lead
+    lead: list[Exponents] = []
+    pairs = _PairQueue(_Packing(order, len(vars0), max(max(e) for g in gens for e in g.terms)))
 
     def adjoin(terms: dict[Exponents, int]) -> None:
         basis.append(Polynomial._raw(vars0, terms))
-        pairs.add(max(terms, key=key))
+        lead.append(max(terms, key=key))
+        pairs.add(pairs.pack(lead[-1]))
 
     for g in gens:
         den = lcm(*(c.denominator for c in g.terms.values()))

@@ -1154,6 +1154,37 @@ def test_distribution_entry_beyond_float_range_exits_two(tmp_path, command, entr
     assert (code, out, err) == (2, "", "error: distribution file: p[0] is too large for a float\n")
 
 
+# entries at the edges of float parsing, each with its exit code and stderr
+# for ``check`` on ``QUAD`` with the distribution ``[entry, 1, 0]``
+EDGE_ENTRIES = {
+    "-0.0": (1, "check failed: distribution is off the model or misses its targets\n"),
+    "1e-400": (1, "check failed: distribution is off the model or misses its targets\n"),
+    "-1e-400": (1, "check failed: distribution is off the model or misses its targets\n"),
+    "1e400": (2, "error: distribution file: p[0] is too large for a float\n"),
+    "-1e400": (2, "error: distribution file: p[0] is too large for a float\n"),
+    "1" + "0" * 400: (2, "error: distribution file: p[0] is too large for a float\n"),
+    "NaN": (2, "error: distribution file: p[0] is not a number\n"),
+    "Infinity": (2, "error: distribution file: p[0] is not a number\n"),
+    "-Infinity": (2, "error: distribution file: p[0] is not a number\n"),
+    "true": (2, "error: distribution file: p[0] is not a number\n"),
+}
+
+
+@pytest.mark.parametrize("entry", list(EDGE_ENTRIES), ids=lambda e: e if len(e) < 12 else "10**400")
+def test_check_reads_edge_distribution_entries(tmp_path, entry):
+    problem = _write_text(tmp_path, QUAD)
+    dist = tmp_path / "p.json"
+    dist.write_text(f"[{entry}, 1, 0]")
+    code, out, err = run(["check", problem, "--dist", str(dist)])
+    assert (code, err) == EDGE_ENTRIES[entry]
+    if code == 1:
+        # the entry reads as 0.0: the output is that of a plain zero
+        dist.write_text("[0, 1, 0]")
+        assert (code, out, err) == run(["check", problem, "--dist", str(dist)])
+    else:
+        assert out == ""
+
+
 DIST_ERRORS = {
     "invalid json": ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
     "no p field": ('{"q": []}', "expected an array or an object with a 'p' field"),

@@ -15,6 +15,7 @@ from toricmaxent.ratpoly import (
     LEX,
     MonomialOrder,
     Polynomial,
+    _Packing,
     _PairQueue,
     buchberger,
     laurent_clear,
@@ -406,21 +407,25 @@ def reference_buchberger(generators, order):
 
     Returns the reduced basis and the number of S-pairs reduced.
     """
-    basis = []
-    pairs = _PairQueue(order)
+    basis, lead = [], []
+    pairs = _PairQueue(_Packing(order, len(generators[0].vars)))
+
+    def adjoin(m):
+        basis.append(m)
+        lead.append(m.leading_term(order)[0])
+        pairs.add(pairs.pack(lead[-1]))
+
     for g in generators:
         m = g.monic(order) if g.terms else g
         if m.terms and m not in basis:
-            basis.append(m)
-            pairs.add(m.leading_term(order)[0])
+            adjoin(m)
     reduced_pairs = 0
     for i, j in pairs:
         reduced_pairs += 1
         r = normal_form(_classical_s_polynomial(basis[i], basis[j], order), basis, order)
         if r.terms:
-            basis.append(r.monic(order))
-            pairs.add(r.leading_term(order)[0])
-    keep = sorted(pairs.minimal(), key=lambda i: order.key(pairs.lead[i]))
+            adjoin(r.monic(order))
+    keep = sorted(pairs.minimal(), key=lambda i: order.key(lead[i]))
     kept = [basis[i] for i in keep]
     out = tuple(
         normal_form(g, kept[:k] + kept[k + 1 :], order).monic(order) if len(kept) > 1 else g
