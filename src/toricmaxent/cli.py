@@ -63,6 +63,7 @@ from .maxent import (
 from .ratpoly import GREVLEX, LEX, MonomialOrder, poly_to_text
 from .toric import (
     ConstraintMatrix,
+    DistributionVector,
     _as_floats,
     _int_array,
     toric_ideal_generators,
@@ -299,7 +300,8 @@ def _read_distribution(path: str, m: int) -> tuple[float, ...]:
     exact decimal would be; ``+ 0.0`` turns ``-0.0`` into ``0.0``.  A number
     beyond float range reads as infinite and is reported as too large;
     ``NaN`` and ``Infinity``, which JSON does not allow, parse to strings and
-    are not numbers.
+    are not numbers.  The floats must then pass :class:`DistributionVector`:
+    no negative entry, and a sum within its tolerance of 1.
     """
     text = _read_text(path)
     try:
@@ -323,9 +325,10 @@ def _read_distribution(path: str, m: int) -> tuple[float, ...]:
         if math.isinf(x):
             raise InputError(f"distribution file: p[{j}] is too large for a float")
         values.append(x)
-    if any(x < 0 for x in values):
-        raise InputError("distribution file: negative probability")
-    return tuple(values)
+    try:
+        return DistributionVector(values).probs
+    except ValueError as exc:
+        raise InputError(f"distribution file: {exc}") from None
 
 
 def _text_order(args) -> MonomialOrder:

@@ -11,10 +11,10 @@ Coefficients are ``Fraction`` at the interface.  Inside :func:`buchberger`
 they are integers: every element is a primitive integer polynomial, reduced
 by pseudo-division, and the basis turns monic over ``Fraction`` only when it
 is returned.  :func:`normal_form` and :func:`multivariate_divide` stay over
-``Fraction``.  Terms are keyed by exponent tuples throughout; only the
-critical-pair queue that :func:`buchberger` shares with the binomial engine
-of ``toric`` packs each leading exponent vector into one int
-(:class:`_Packing`), on which divisibility and lcm are a few int operations.
+``Fraction``.  :func:`_binomial_groebner`, the engine for the pure
+binomials of ``toric``, shares its critical-pair queue, and the two are the
+only users of packed monomials (:class:`_Packing`): one int per exponent
+vector, on which divisibility and lcm are a few int operations.
 
 Example::
 
@@ -408,7 +408,8 @@ class _Packing:
     ``((e | guard) - a) & guard == guard``, with ``guard`` the top bit of
     every field; a product is ``+``, a quotient ``-``, and ``a`` and ``b``
     are coprime when their lcm is ``a + b``.  A sum that sets a bit of
-    ``over`` has left the fields: the caller repacks at double width with
+    ``over`` has left the fields, and :meth:`pack` raises on an entry that
+    does not fit: :func:`_packed_run` then starts the run over at
     :meth:`wider`.  There is no cap on the width.
 
     >>> order = MonomialOrder("grevlex", (2, 0, 1))
@@ -485,12 +486,13 @@ class _PairQueue:
     The update needs only the elements' leading exponents, packed by the
     queue's :class:`_Packing` and kept in ``lead`` in the order :meth:`add`
     received them, so the rational and the binomial engines share it;
-    :meth:`minimal` picks a minimal basis from the same exponents.  A caller
-    packs an exponent vector with :meth:`pack`, which widens the queue's
-    fields when the vector does not fit.  Pending pairs wait in a heap,
-    keyed once when they are made by the packed order key of their
-    leading-term lcm; iterating yields the live pair ``(i, j)`` with the
-    smallest lcm until none is left, and may be interleaved with ``add``.
+    :meth:`minimal` picks a minimal basis from the same exponents.  The
+    packing is fixed for the queue's life: a lead that does not fit it
+    raises, and :func:`_packed_run` starts the run over with a new queue at
+    double width.  Pending pairs wait in a heap, keyed once when they are
+    made by the packed order key of their leading-term lcm; iterating
+    yields the live pair ``(i, j)`` with the smallest lcm until none is
+    left, and may be interleaved with ``add``.
     Each new leading exponent ``ht`` goes through the update (Gebauer and
     Moeller, JSC 1988):
 
@@ -511,27 +513,6 @@ class _PairQueue:
         self._active: list[int] = []  # elements that new pairs are formed with
         self._pending: dict[tuple[int, int], int] = {}  # live pairs and their lcms
         self._heap: list = []
-
-    def pack(self, exps: Sequence[int]) -> int:
-        """``exps`` packed for :meth:`add`, after widening the queue as needed."""
-        while True:
-            try:
-                return self.packing.pack(exps)
-            except OverflowError:
-                self._widen()
-
-    def _widen(self) -> None:
-        narrow = self.packing
-        wide = self.packing = narrow.wider()
-
-        def repack(p: int) -> int:
-            return wide.pack(narrow.unpack(p))
-
-        self.lead[:] = map(repack, self.lead)
-        self._pending = {pair: repack(lcm) for pair, lcm in self._pending.items()}
-        # repacking keeps the order of the keys, so the live pairs pop as they would have
-        self._heap = [(wide.key(lcm), i, j) for (i, j), lcm in self._pending.items()]
-        heapq.heapify(self._heap)
 
     def add(self, ht: int) -> None:
         lead, pending = self.lead, self._pending
@@ -578,6 +559,21 @@ class _PairQueue:
             _, i, j = heapq.heappop(self._heap)
             if self._pending.pop((i, j), None) is not None:  # else pruned after it was pushed
                 yield i, j
+
+
+def _packed_run(order: MonomialOrder, n: int, top: int, run):
+    """``run(packing)`` for exponents up to ``top``, rerun at double width on overflow.
+
+    A run raises ``OverflowError`` when an exponent vector leaves the fields
+    of its :class:`_Packing`; this is the one place that catches it.  Packed
+    keys order the same at every width, so a rerun takes the same steps.
+    """
+    packing = _Packing(order, n, top)
+    while True:
+        try:
+            return run(packing)
+        except OverflowError:
+            packing = packing.wider()
 
 
 def _primitive(terms: dict[Exponents, int], lc: int) -> dict[Exponents, int]:
@@ -638,8 +634,10 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> Groebn
 
     Each generator is scaled once to a primitive integer polynomial with a
     positive leading coefficient.  Pairs are made, pruned and selected by
-    the Gebauer-Moeller update of :class:`_PairQueue`: the pending pair
-    with the smallest leading-term lcm is reduced first.  Its integer
+    the Gebauer-Moeller update of :class:`_PairQueue` on packed leading
+    exponents, and a lead that outgrows the packing starts the run over at
+    double width (:func:`_packed_run`).  The pending pair with the
+    smallest leading-term lcm is reduced first.  Its integer
     :func:`s_polynomial` is reduced by pseudo-division, and every element
     kept is primitive.  Each is a positive multiple of the monic element
     that rational arithmetic would keep, so the pairs and their order are
@@ -656,30 +654,32 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> Groebn
             raise ValueError("generators over different variable lists")
 
     key = None if order == LEX else order.key  # under plain lex, tuples compare as the order does
-    basis: list[Polynomial] = []  # primitive integer polynomials, positive leading coefficients
-    lead: list[Exponents] = []
-    pairs = _PairQueue(_Packing(order, len(vars0), max(max(e) for g in gens for e in g.terms)))
 
-    def adjoin(terms: dict[Exponents, int]) -> None:
-        basis.append(Polynomial._raw(vars0, terms))
-        lead.append(max(terms, key=key))
-        pairs.add(pairs.pack(lead[-1]))
+    def run(packing: _Packing):
+        basis: list[Polynomial] = []  # primitive integer polynomials, positive leading coefficients
+        lead: list[Exponents] = []
+        pairs = _PairQueue(packing)
 
-    for g in gens:
-        den = lcm(*(c.denominator for c in g.terms.values()))
-        h = {e: c.numerator * (den // c.denominator) for e, c in g.terms.items()}
-        h = _primitive(h, h[max(h, key=key)])
-        if all(h != b.terms for b in basis):
-            adjoin(h)
+        def adjoin(terms: dict[Exponents, int]) -> None:
+            basis.append(Polynomial._raw(vars0, terms))
+            lead.append(max(terms, key=key))
+            pairs.add(packing.pack(lead[-1]))
 
-    for i, j in pairs:
-        s = s_polynomial(basis[i], basis[j], order)
-        r = _pseudo_reduce(s.terms, basis, lead, key) if s.terms else s.terms
-        if r:
-            adjoin(r)
+        for g in gens:
+            den = lcm(*(c.denominator for c in g.terms.values()))
+            h = {e: c.numerator * (den // c.denominator) for e, c in g.terms.items()}
+            h = _primitive(h, h[max(h, key=key)])
+            if all(h != b.terms for b in basis):
+                adjoin(h)
+        for i, j in pairs:
+            s = s_polynomial(basis[i], basis[j], order)
+            r = _pseudo_reduce(s.terms, basis, lead, key) if s.terms else s.terms
+            if r:
+                adjoin(r)
+        return basis, lead, pairs.minimal()
 
+    basis, lead, keep = _packed_run(order, len(vars0), max(max(e) for g in gens for e in g.terms), run)
     # tail-reduce every element of a minimal basis against the others
-    keep = pairs.minimal()
     keep.sort(key=lambda i: order.key(lead[i]))
     kept = [basis[i] for i in keep]
     kept_lead = [lead[i] for i in keep]
@@ -691,6 +691,71 @@ def buchberger(generators: Sequence[Polynomial], order: MonomialOrder) -> Groebn
         lc = terms[kept_lead[idx]]
         reduced.append(Polynomial._raw(vars0, {e: Fraction(c, lc) for e, c in terms.items()}))
     return GroebnerBasis(tuple(reduced), order)
+
+
+def _binomial_groebner(
+    binomials: Sequence[tuple[Exponents, Exponents]], order: MonomialOrder
+) -> list[tuple[Exponents, Exponents]]:
+    """Reduced Groebner basis of the ideal of the pure binomials ``x^a - x^b``.
+
+    Each binomial is given as its exponent pair ``(lead, trail)``, leading
+    exponent first, and stands for ``x^lead - x^trail``.  Reducing a monomial
+    by a monic binomial gives a monomial, so an S-pair reduces to a binomial
+    or to zero and every coefficient stays +-1: no ``Fraction`` is needed.
+    The run packs each exponent vector once into an int (:class:`_Packing`),
+    so a divisibility test is a few int operations and a rewrite step one
+    subtraction and one addition; pairs are made and pruned on the packed
+    leads by the same Gebauer-Moeller update as :func:`buchberger`.  When a
+    rewrite leaves the packed fields, the run starts over at double width
+    (:func:`_packed_run`).  Here ``x^999 y^1000`` rewrites by
+    ``x - y^1000`` to ``y^1000000``, past the 16-bit fields of the first run:
+
+    >>> _binomial_groebner([((1000, 0), (0, 0)), ((1, 0), (0, 1000))], LEX)
+    [((1, 0), (0, 1000)), ((0, 1000000), (0, 0))]
+    """
+    binomials = list(binomials)
+    if not binomials:
+        return []
+
+    def run(packing: _Packing) -> list[tuple[Exponents, Exponents]]:
+        guard, over, key = packing.guard, packing.over, packing.key
+        basis: list[tuple[int, int]] = []
+        pairs = _PairQueue(packing)
+
+        def normal(e: int, among) -> int:
+            # rewrite x^e until no leading exponent in ``among`` divides it
+            while True:
+                top = e | guard
+                for a, b in among:
+                    if (top - a) & guard == guard:  # ``a`` divides ``e``: the hot loop of the saturation
+                        e += b - a
+                        if e & over:
+                            raise OverflowError
+                        break
+                else:
+                    return e
+
+        def adjoin(a: int, b: int) -> None:
+            if (a | b) & over:
+                raise OverflowError
+            a, b = normal(a, basis), normal(b, basis)
+            if a != b:
+                basis.append((a, b) if key(a) > key(b) else (b, a))
+                pairs.add(basis[-1][0])
+
+        for a, b in binomials:
+            adjoin(packing.pack(a), packing.pack(b))
+        lcm_of = packing.lcm
+        for i, j in pairs:
+            (a, b), (c, d) = basis[i], basis[j]
+            lcm = lcm_of(a, c)
+            adjoin(lcm - a + b, lcm - c + d)
+
+        # reduce the trail of every element of a minimal basis
+        minimal = [basis[i] for i in pairs.minimal()]
+        return [(packing.unpack(a), packing.unpack(normal(b, minimal))) for a, b in minimal]
+
+    return _packed_run(order, len(binomials[0][0]), max(max(a + b) for a, b in binomials), run)
 
 
 def laurent_clear(f: Polynomial) -> tuple[Exponents, Polynomial]:

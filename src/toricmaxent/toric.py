@@ -6,11 +6,10 @@ integer kernel, joined by a basis that is the identity on ``dim ker A``
 coordinates where one exists.  Its binomials, homogenized by a slack
 coordinate, are saturated one coordinate at a time by the ``rank A``
 coordinates outside that identity block, or by all of them when there is
-none, with a binomial Buchberger under grevlex that holds each monomial as
-one packed int; one rational Buchberger under lex then gives the reduced
-basis.  Membership of a positive point needs no ideal: on the open orthant
-the model is log-linear, and the test is a least-squares fit of its
-logarithms.
+none, with the binomial Buchberger of ``ratpoly`` under grevlex; one
+rational Buchberger under lex then gives the reduced basis.  Membership
+of a positive point needs no ideal: on the open orthant the model is
+log-linear, and the test is a least-squares fit of its logarithms.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeLimitError
-from .ratpoly import LEX, Exponents, MonomialOrder, Polynomial, _PairQueue, _Packing, buchberger
+from .ratpoly import LEX, MonomialOrder, Polynomial, _binomial_groebner, buchberger
 
 __all__ = [
     "ConstraintMatrix",
@@ -376,73 +375,6 @@ def integer_kernel_basis(matrix: ConstraintMatrix) -> tuple[tuple[int, ...], ...
             vec = tuple(-v for v in vec)
         vectors.append(vec)
     return tuple(vectors)
-
-
-def _binomial_groebner(
-    binomials: Sequence[tuple[Exponents, Exponents]], order: MonomialOrder
-) -> list[tuple[Exponents, Exponents]]:
-    """Reduced Groebner basis of the ideal of the pure binomials ``x^a - x^b``.
-
-    Each binomial is given as its exponent pair ``(lead, trail)``, leading
-    exponent first, and stands for ``x^lead - x^trail``.  Reducing a monomial
-    by a monic binomial gives a monomial, so an S-pair reduces to a binomial
-    or to zero and every coefficient stays +-1: no ``Fraction`` is needed.
-    The run packs each exponent vector once into an int (:class:`_Packing`),
-    so a divisibility test is a few int operations and a rewrite step one
-    subtraction and one addition; pairs are made and pruned on the packed
-    leads by the same Gebauer-Moeller update as :func:`buchberger`.  When a
-    rewrite leaves the packed fields, the run starts over at double width.
-    """
-    binomials = list(binomials)
-    if not binomials:
-        return []
-    packing = _Packing(order, len(binomials[0][0]), max(max(a + b) for a, b in binomials))
-    while True:
-        try:
-            basis = _packed_binomial_groebner([(packing.pack(a), packing.pack(b)) for a, b in binomials], packing)
-            return [(packing.unpack(a), packing.unpack(b)) for a, b in basis]
-        except OverflowError:
-            packing = packing.wider()
-
-
-def _packed_binomial_groebner(binomials: list[tuple[int, int]], packing: _Packing) -> list[tuple[int, int]]:
-    """:func:`_binomial_groebner` on packed exponents; ``OverflowError`` when they outgrow ``packing``."""
-    guard, over, key = packing.guard, packing.over, packing.key
-    basis: list[tuple[int, int]] = []
-    pairs = _PairQueue(packing)
-
-    def normal(e: int, among) -> int:
-        # rewrite x^e until no leading exponent in ``among`` divides it
-        while True:
-            top = e | guard
-            for a, b in among:
-                if (top - a) & guard == guard:  # ``a`` divides ``e``: the hot loop of the saturation
-                    e += b - a
-                    if e & over:
-                        raise OverflowError
-                    break
-            else:
-                return e
-
-    def adjoin(a: int, b: int) -> None:
-        if (a | b) & over:
-            raise OverflowError
-        a, b = normal(a, basis), normal(b, basis)
-        if a != b:
-            basis.append((a, b) if key(a) > key(b) else (b, a))
-            pairs.add(basis[-1][0])
-
-    for a, b in binomials:
-        adjoin(a, b)
-    lcm_of = packing.lcm
-    for i, j in pairs:
-        (a, b), (c, d) = basis[i], basis[j]
-        lcm = lcm_of(a, c)
-        adjoin(lcm - a + b, lcm - c + d)
-
-    # reduce the trail of every element of a minimal basis
-    minimal = [basis[i] for i in pairs.minimal()]
-    return [(a, normal(b, minimal)) for a, b in minimal]
 
 
 def _shorten(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:

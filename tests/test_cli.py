@@ -1192,6 +1192,8 @@ DIST_ERRORS = {
     "string entry": ('["x", 0.5, 0.5]', "p[0] is not a number"),
     # a negative entry is no point of the simplex, so neither command reads it as one
     "negative entry": ("[-0.5, 1, 0.5]", "negative probability"),
+    # nor one whose entries do not sum to 1; the sum is the one each interpreter's sum() gives
+    "sum off one": ("[0.2, 0.2, 0.2]", f"distribution sums to {sum([0.2, 0.2, 0.2])!r}, not 1"),
 }
 DIST_CASES = [(command, case) for case in DIST_ERRORS for command in ("check", "entropy")]
 

@@ -3,8 +3,8 @@
 ``TupleQueue`` and ``tuple_binomial_groebner`` keep the engine as it ran on
 exponent tuples before monomials were packed into ints.  The packed engine
 must give the same bases, and the packed queue the same pairs in the same
-order, for any exponents: past the first field width too, where the packing
-widens.
+order, for any exponents: past the first field width too, where a run starts
+over at double width.
 """
 
 import heapq
@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricmaxent.ratpoly import LEX, MonomialOrder, Polynomial, _Packing, _PairQueue, buchberger
-from toricmaxent.toric import _binomial_groebner
+from toricmaxent import ratpoly
+from toricmaxent.ratpoly import LEX, MonomialOrder, Polynomial, _binomial_groebner, _Packing, _PairQueue, buchberger
 
 BIG = 2**40
 
@@ -142,8 +142,8 @@ def test_packed_binomial_engine_matches_the_tuple_engine(case):
 def queue_runs(draw):
     """Leading exponents to add, each followed by a number of pairs to take.
 
-    One lead in four has an entry near 2**40, so most runs widen the queue
-    after pairs are pending.
+    One lead in four has an entry near 2**40, so most runs need fields wider
+    than the first width.
     """
     n = draw(st.integers(1, 4))
     small = st.lists(st.integers(0, 2), min_size=n, max_size=n)
@@ -157,11 +157,12 @@ def queue_runs(draw):
 @given(queue_runs())
 def test_packed_queue_makes_the_pairs_of_the_tuple_queue(run):
     steps, order = run
-    packed, plain = _PairQueue(_Packing(order, len(steps[0][0]))), TupleQueue(order)
+    # a queue's packing is fixed for its life, so it must fit the largest lead from the start
+    top = max(max(exps) for exps, _ in steps)
+    packed, plain = _PairQueue(_Packing(order, len(steps[0][0]), top)), TupleQueue(order)
     taken, expected = [], []
     for exps, take in steps:
-        # a lead near 2**40 does not fit the first width: the queue widens with pending pairs
-        packed.add(packed.pack(exps))
+        packed.add(packed.packing.pack(exps))
         plain.add(exps)
         for _ in range(take):
             taken.append(next(iter(packed), None))
@@ -191,18 +192,67 @@ def test_a_rewrite_past_the_field_width_restarts_wider(monkeypatch):
 
 
 def test_buchberger_widens_its_queue_for_a_growing_lead(monkeypatch):
+    # the lead y^(10**6) does not fit the first queue's fields: the run starts over wider
     widths = []
-    widen = _PairQueue._widen
+    wider = _Packing.wider
 
-    def counted(queue):
-        widths.append(queue.packing.width)
-        widen(queue)
+    def counted(packing):
+        widths.append(packing.width)
+        return wider(packing)
 
-    monkeypatch.setattr(_PairQueue, "_widen", counted)
+    monkeypatch.setattr(_Packing, "wider", counted)
     vars = ("x", "y")
     basis = buchberger([Polynomial(vars, {a: 1, b: -1}) for a, b in GROWING], LEX).basis
     assert set(basis) == {Polynomial(vars, {a: 1, b: -1}) for a, b in GROWN}
     assert widths == [16]
+
+
+class WideFirst(_Packing):
+    """A packing whose first width is 64 bits, past every exponent of ``GROWING``."""
+
+    def __init__(self, order, n, top=0, width=64):
+        super().__init__(order, n, top, width)
+
+
+ENGINES = {
+    "binomial": lambda: _binomial_groebner(GROWING, LEX),
+    "rational": lambda: buchberger([Polynomial(("x", "y"), {a: 1, b: -1}) for a, b in GROWING], LEX).basis,
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_a_restarted_run_repeats_the_run_that_starts_wide(monkeypatch, engine):
+    def runs(packing):
+        """The engine's result and, per run, its pairs taken and ``s_polynomial`` calls."""
+        counts = []
+        init, iterate, s_polynomial = _PairQueue.__init__, _PairQueue.__iter__, ratpoly.s_polynomial
+
+        def counted_init(queue, packing):
+            init(queue, packing)
+            counts.append([0, 0])
+
+        def counted_iter(queue):
+            for pair in iterate(queue):
+                counts[-1][0] += 1
+                yield pair
+
+        def counted_s_polynomial(f, g, order):
+            counts[-1][1] += 1
+            return s_polynomial(f, g, order)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ratpoly, "_Packing", packing)
+            patch.setattr(_PairQueue, "__init__", counted_init)
+            patch.setattr(_PairQueue, "__iter__", counted_iter)
+            patch.setattr(ratpoly, "s_polynomial", counted_s_polynomial)
+            return ENGINES[engine](), counts
+
+    restarted, restarted_counts = runs(_Packing)
+    wide, wide_counts = runs(WideFirst)
+    assert restarted == wide
+    assert len(restarted_counts) == 2 and len(wide_counts) == 1
+    assert restarted_counts[-1] == wide_counts[-1]
+    assert wide_counts[-1][0] > 0
 
 
 def test_a_negative_exponent_is_rejected_not_widened():

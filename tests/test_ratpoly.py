@@ -408,12 +408,13 @@ def reference_buchberger(generators, order):
     Returns the reduced basis and the number of S-pairs reduced.
     """
     basis, lead = [], []
-    pairs = _PairQueue(_Packing(order, len(generators[0].vars)))
+    # 64-bit fields fit every exponent of the systems below, and a queue's packing never widens
+    pairs = _PairQueue(_Packing(order, len(generators[0].vars), width=64))
 
     def adjoin(m):
         basis.append(m)
         lead.append(m.leading_term(order)[0])
-        pairs.add(pairs.pack(lead[-1]))
+        pairs.add(pairs.packing.pack(lead[-1]))
 
     for g in generators:
         m = g.monic(order) if g.terms else g
