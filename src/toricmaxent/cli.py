@@ -7,21 +7,25 @@ output was written, 2 input error, 3 size limit.  Identical inputs and
 flags produce byte-identical output.
 
 A numeric fit of a valid document loops over the alphabet only in C.
-Each ``values`` row is checked and converted by one ``bytes(values)``
-call, which raises on any entry that is not an int in 0..255; when every
-row passes, the rows are joined and read by one ``np.frombuffer`` as the
-uint8 array of the :class:`ConstraintMatrix`.  ``bytes`` also takes a
-bool, which JSON yields only from the literals ``true`` and ``false``, so
-a document whose text holds either literal, or a row that ``bytes``
-rejects, takes the general path.  There each array field (``values``,
-``samples``, ``prior``) is validated in one pass of
+A document of at least ``_READ_MIN`` characters is read by
+:func:`_load_document`: one regex pass finds each bracketed run of at
+least ``_READ_MIN`` characters of digits, commas, minus signs and JSON
+whitespace outside any string, one ``np.fromstring`` reads it as int64,
+and counts of its commas, digit runs, digits and minus signs show that
+the run is exactly a JSON array of canonical integers below ``10**18``
+in absolute value.  An accepted run reaches the document as an int64
+array, and any other run is left to ``json``.  Shorter documents, and
+documents whose text holds ``NaN`` or ``Infinity``, go to ``json.loads``
+as they are.  An int64 ``values`` row needs no further check, and when
+every row is one the matrix is one ``np.stack``.  Any other array field
+(``values``, ``samples``, ``prior``) is validated in one pass of
 ``set(map(type, xs))``, plus ``min`` and ``max`` for ``samples`` and
 ``min`` for ``prior``; ``values`` gets the type check only.  Only when
 that fails is the field scanned again in order, so the message names the
-first bad index.  On the general path the checked ``values`` of all rows
-become the matrix through one ``np.array`` call: an int64 array, or an
-object array of the same ints when an entry does not fit, so a huge entry
-still reaches the exact path.  A numeric fit converts the matrix to floats
+first bad index.  Rows that are not all int64 arrays become the matrix
+through one ``np.array`` call: an int64 array, or an object array of the
+same ints when an entry does not fit, so a huge entry still reaches the
+exact path.  A numeric fit converts the matrix to floats
 once and never builds tuples of Python ints.  Any list or tuple that is
 not all strings is emitted by one ``%`` call.  A fitted ``p`` is emitted
 from the float array of ``DistributionVector.to_array()``; when it is long
@@ -34,7 +38,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,6 +123,93 @@ def _all_ints(values: list) -> bool:
     return set(map(type, values)) <= {int}
 
 
+# Below this many characters, json reads an integer array faster than the
+# regex pass and the numpy checks: a problem with three rows and a prior of
+# entries 0..4 parses in the same time either way at rows of 1024
+# characters, 2.7x slower through numpy at 128 and 1.3x faster at 2048.
+_READ_MIN = 1024
+# a JSON string, kept as it is, or a bracketed run long enough to read with numpy
+_TOKENS = re.compile(r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"|\[([-0-9, \t\n\r]{%d,})\]' % _READ_MIN)
+_MINUS_GAP = re.compile(r"-(?![0-9])")
+_INT_BOUND = 10**18
+
+
+def _read_ints(body: str) -> np.ndarray | None:
+    """The int64 array of a JSON array body, or ``None`` if ``json`` might read it otherwise.
+
+    ``np.fromstring`` also reads what JSON rejects (a leading zero, a blank
+    entry as 0, ``- 1``) and clips what does not fit, so the result is kept
+    only when it accounts for every character: one entry per comma plus
+    one, one digit run per entry, each minus sign directly before a digit
+    and on a negative entry (so ``-0`` is left to ``json``), as many digits
+    as the entries' canonical text, and every entry below ``10**18`` in
+    absolute value.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            ints = np.fromstring(body, dtype=np.int64, sep=",")
+        except (DeprecationWarning, ValueError):
+            return None
+    chars = np.frombuffer(body.encode("ascii"), np.uint8)
+    digit = (chars - np.uint8(ord("0"))) < 10  # wraps below "0", so only the ten digits pass
+    n = len(ints)
+    if n != np.count_nonzero(chars == ord(",")) + 1:
+        return None
+    if n != digit[0] + np.count_nonzero(digit[1:] > digit[:-1]):
+        return None
+    lo, hi = ints.min(), ints.max()
+    if not -_INT_BOUND < lo <= hi < _INT_BOUND:
+        return None
+    magnitude = ints
+    minus = np.count_nonzero(chars == ord("-"))
+    if minus or lo < 0:
+        if minus != np.count_nonzero(ints < 0) or _MINUS_GAP.search(body):
+            return None
+        magnitude = np.abs(ints)
+        hi = magnitude.max()
+    digits, power = n, 10
+    while power <= hi:
+        digits += np.count_nonzero(magnitude >= power)
+        power *= 10
+    return ints if digits == np.count_nonzero(digit) else None
+
+
+def _load_document(text: str):
+    """``json.loads(text, parse_float=Fraction)``, with long integer arrays as int64 arrays.
+
+    Each run of ``_TOKENS`` that ``_read_ints`` accepts is replaced by the
+    constant ``NaN``, which ``parse_constant`` turns back into its array in
+    document order; the text holds no other constant.  Since a string
+    token is kept whole, no bracket inside a string is read.  Any decoding
+    error is raised from the original text, so its message and position
+    are those of ``json.loads``.
+    """
+    if len(text) < _READ_MIN or "NaN" in text or "Infinity" in text:
+        return json.loads(text, parse_float=Fraction)
+    arrays = []
+
+    def replace(match):
+        body = match.group(1)
+        ints = None if body is None else _read_ints(body)
+        if ints is None:
+            return match.group(0)
+        arrays.append(ints)
+        return "NaN"
+
+    short = _TOKENS.sub(replace, text)
+    read = iter(arrays)
+    try:
+        return json.loads(short, parse_float=Fraction, parse_constant=lambda _: next(read))
+    except json.JSONDecodeError:
+        return json.loads(text, parse_float=Fraction)
+
+
+def _listed(value):
+    """A long array read by ``_load_document`` as the list ``json`` would have given."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def parse_problem(text: str) -> ProblemDef:
     """Parse and validate a problem document.
 
@@ -125,7 +218,7 @@ def parse_problem(text: str) -> ProblemDef:
     Constraint values must be integers.
     """
     try:
-        doc = json.loads(text, parse_float=Fraction)
+        doc = _load_document(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -139,11 +232,11 @@ def parse_problem(text: str) -> ProblemDef:
     if isinstance(m, bool) or not isinstance(m, int) or m < 2:
         raise InputError("m: expected an integer >= 2")
 
-    raw_constraints = doc.get("constraints")
+    raw_constraints = _listed(doc.get("constraints"))
     if not isinstance(raw_constraints, list) or not raw_constraints:
         raise InputError("constraints: expected a nonempty array")
 
-    samples = doc.get("samples")
+    samples = _listed(doc.get("samples"))
     if samples is not None:
         if not isinstance(samples, list) or not samples:
             raise InputError("samples: expected a nonempty array")
@@ -155,8 +248,6 @@ def parse_problem(text: str) -> ProblemDef:
                     raise InputError(f"samples[{j}]: symbol {value} outside 1..{m}")
         samples = tuple(samples)
 
-    # ``bytes`` takes a bool as 0 or 1, and JSON yields a bool only from these literals
-    packed = None if "true" in text or "false" in text else []
     rows, targets = [], []
     for i, raw in enumerate(raw_constraints):
         path = f"constraints[{i}]"
@@ -166,14 +257,9 @@ def parse_problem(text: str) -> ProblemDef:
         if not isinstance(name, str) or not name:
             raise InputError(f"{path}.name: expected a nonempty string")
         values = raw.get("values")
-        if not isinstance(values, list) or len(values) != m:
+        if not isinstance(values, (list, np.ndarray)) or len(values) != m:
             raise InputError(f"{path}.values: expected an array of length {m}")
-        if packed is not None:
-            try:
-                packed.append(bytes(values))
-            except (TypeError, ValueError):
-                packed = None
-        if packed is None and not _all_ints(values):
+        if isinstance(values, list) and not _all_ints(values):
             for j, value in enumerate(values):
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise InputError(f"{path}.values[{j}]: integer-valued constraint functions are required")
@@ -187,7 +273,7 @@ def parse_problem(text: str) -> ProblemDef:
         rows.append(values)
         targets.append(target)
 
-    prior = doc.get("prior")
+    prior = _listed(doc.get("prior"))
     if prior is not None:
         if not isinstance(prior, list) or len(prior) != m:
             raise InputError(f"prior: expected an array of length {m}")
@@ -201,11 +287,11 @@ def parse_problem(text: str) -> ProblemDef:
             prior = weights
         prior = tuple(prior)
 
-    if packed is not None:
-        matrix = ConstraintMatrix(np.frombuffer(b"".join(packed), np.uint8).reshape(len(packed), m))
+    if all(isinstance(row, np.ndarray) for row in rows):
+        matrix = ConstraintMatrix(np.stack(rows))
     else:
         # every entry is a Python int by now: one call builds the array, and the matrix copies it
-        matrix = ConstraintMatrix(_int_array(rows))
+        matrix = ConstraintMatrix(_int_array([_listed(row) for row in rows]))
     return ProblemDef(matrix, None if samples is not None else tuple(targets), samples, prior)
 
 

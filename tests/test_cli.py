@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricmaxent.cli import InputError, _emit, main, parse_problem
+from toricmaxent.cli import _READ_MIN, InputError, _emit, _load_document, main, parse_problem
 from toricmaxent.maxent import fit_numeric
 from toricmaxent.ratpoly import parse_poly, poly_to_text
 
@@ -204,25 +204,36 @@ _ODD_VALUES = [256, -1, 2**63, -(2**63), 2**63 - 1, -(2**63) - 1, 10**400, 0.0, 
 _NAMES = ["f", "true", "false", "untrue", "x-false-y", "True", "FALSE"]
 
 
+def _drawn_row(draw, m: int, entries):
+    """A row of ``m`` drawn entries; a long row repeats a short drawn pattern."""
+    if m <= 8:
+        return draw(st.lists(entries, min_size=m, max_size=m))
+    return (draw(st.lists(entries, min_size=1, max_size=5)) * m)[:m]
+
+
 @st.composite
 def _values_documents(draw):
-    """A problem text whose rows are all in 0..255 or mixed with odd entries, and its other fields."""
-    m, d = draw(st.integers(2, 6)), draw(st.integers(1, 3))
-    byte_row = st.lists(st.integers(0, 255), min_size=m, max_size=m)
-    odd_row = st.lists(st.one_of(st.integers(0, 255), st.sampled_from(_ODD_VALUES)), min_size=m, max_size=m)
-    rows = [draw(st.one_of(byte_row, odd_row)) for _ in range(d)]
+    """A problem text whose rows are all in 0..255 or mixed with odd entries, and its other fields.
+
+    Rows of m in 300..400 entries are long enough for ``_load_document`` to
+    read them with numpy; shorter ones go through ``json`` alone.
+    """
+    m, d = draw(st.one_of(st.integers(2, 6), st.integers(300, 400))), draw(st.integers(1, 3))
+    byte = st.integers(0, 255)
+    odd = st.one_of(byte, st.sampled_from(_ODD_VALUES))
+    rows = [_drawn_row(draw, m, draw(st.sampled_from([byte, odd]))) for _ in range(d)]
     constraints = [{"name": draw(st.sampled_from(_NAMES)), "values": row} for row in rows]
     doc = {"m": m, "constraints": constraints}
     targets = samples = prior = None
     if draw(st.booleans()):
-        samples = tuple(draw(st.lists(st.integers(1, m), min_size=1, max_size=8)))
+        samples = tuple(_drawn_row(draw, draw(st.integers(1, 8)) if m <= 6 else m, st.integers(1, m)))
         doc["samples"] = list(samples)
     else:
         targets = tuple(draw(st.lists(st.fractions(-9, 9, max_denominator=7), min_size=d, max_size=d)))
         for c, t in zip(constraints, targets):
             c["target"] = int(t) if t.denominator == 1 else f"{t.numerator}/{t.denominator}"
     if draw(st.booleans()):
-        prior = tuple(draw(st.lists(st.integers(1, 5), min_size=m, max_size=m)))
+        prior = tuple(_drawn_row(draw, m, st.integers(1, 5)))
         doc["prior"] = list(prior)
     return json.dumps(doc), targets, samples, prior
 
@@ -246,11 +257,11 @@ def test_parse_values_agree_with_the_type_scan(case):
 
 def test_true_literal_takes_the_general_values_path_with_the_same_output(write_json, monkeypatch):
     import toricmaxent.cli as cli
-    from toricmaxent.toric import _int_array
 
-    # counts the documents that build their matrix the general way
-    general = []
-    monkeypatch.setattr(cli, "_int_array", lambda rows: general.append(len(rows)) or _int_array(rows))
+    # the text "true" in a name changes nothing: both documents have the same arrays read with numpy
+    read = []
+    original = cli._read_ints
+    monkeypatch.setattr(cli, "_read_ints", lambda body: read.append(original(body)) or read[-1])
     doc = _large_problem(8, 10_000, 3, "prior")
     outputs = []
     for name in ("f1", "true"):
@@ -258,8 +269,82 @@ def test_true_literal_takes_the_general_values_path_with_the_same_output(write_j
         code, out, err = run(["fit", write_json(doc), "--format", "json"])
         assert (code, err) == (0, "")
         outputs.append(out)
-    assert len(general) == 1 and len(outputs[0]) > 200_000
+    # three values rows and the prior, in each document
+    assert sum(ints is not None for ints in read) == 8 and len(outputs[0]) > 200_000
     assert outputs[0] == outputs[1]
+
+
+def test_long_row_beyond_int64_keeps_an_exact_object_matrix():
+    m = 400
+    doc = {"m": m, "constraints": [
+        {"name": "fast", "values": [j % 5 for j in range(m)], "target": 2},
+        {"name": "huge", "values": [10**20] + [1] * (m - 1), "target": 1},
+    ]}
+    parsed = parse_problem(json.dumps(doc))
+    entries = parsed.matrix.entries
+    assert entries.dtype == object
+    assert {type(v) for v in entries.ravel().tolist()} == {int}
+    assert entries.tolist() == [doc["constraints"][0]["values"], doc["constraints"][1]["values"]]
+    assert isinstance(_load_document(json.dumps(doc))["constraints"][0]["values"], np.ndarray)
+
+
+def _plain(value):
+    """A document from ``_load_document`` with each array as the list ``json`` gives."""
+    if isinstance(value, np.ndarray):
+        assert value.dtype == np.int64 and value.ndim == 1
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value
+
+
+# entries of an array body: JSON integers, and what JSON rejects or reads differently
+_ENTRIES = ["0", "1", "4", "-3", "17", "123456789012345678", "-999999999999999999",
+            "1000000000000000000", "9223372036854775807", "-9223372036854775808",
+            "12345678901234567890", "-12345678901234567890", "00", "01", "-0", "+1", "--1", "- 1",
+            "1 2", "1-2", "", " ", "\f1", "1\v", "\u0661", "\uff11", "1.5", "1e3", "NaN", "-Infinity", "true"]
+_SEPARATORS = [",", ", ", " ,", ",\n", ",\t", ",\r\n  "]
+# strings with brackets, escaped quotes and constant names in them
+_STRINGS = ["plain", "[1, 2, 3]", 'say \\"[0, 1]\\"', "\\\\", "NaN", "-Infinity", "[", "]\\u005b"]
+
+
+@st.composite
+def _long_documents(draw):
+    """A document text past the loader's length gate, valid or not."""
+    pattern = draw(st.lists(st.sampled_from(_ENTRIES), min_size=1, max_size=4))
+    clean = st.lists(st.sampled_from(_ENTRIES[:7]), min_size=1, max_size=4)
+    parts = []
+    for i in range(draw(st.integers(1, 3))):
+        entries = pattern if draw(st.integers(0, 2)) == 0 else draw(clean)
+        sep = draw(st.sampled_from(_SEPARATORS))
+        body = sep.join(entries * (_READ_MIN // len(entries) + draw(st.integers(0, 3))))
+        body = draw(st.sampled_from(["", " ", "\n  "])) + body + draw(st.sampled_from(["", " ", "\n", ","]))
+        key = draw(st.sampled_from(_STRINGS))
+        value = draw(st.sampled_from(["[%s]", "[[%s]]", '{"v": [%s]}', "[%s, [1]]"])) % body
+        parts.append('"%s%d": %s' % (key, i, value))
+        if draw(st.booleans()):
+            parts.append('"s%d": "%s"' % (i, draw(st.sampled_from(_STRINGS))))
+    text = "{" + ", ".join(parts) + "}"
+    # half the documents end in a syntax error after their last array
+    return text + draw(st.one_of(st.sampled_from(["", "\n"]), st.sampled_from([" x", ",", "}", "]"])))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(_long_documents())
+def test_load_document_agrees_with_json(text):
+    assert len(text) >= _READ_MIN
+    try:
+        expected = json.loads(text, parse_float=Fraction)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(InputError) as got:
+            parse_problem(text)
+        assert str(got.value) == f"invalid JSON: {exc}"
+        return
+    # repr, since a NaN is not equal to itself
+    assert repr(_plain(_load_document(text))) == repr(expected)
 
 
 # --- fit command ---
