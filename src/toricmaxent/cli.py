@@ -10,14 +10,14 @@ A numeric fit of a valid document loops over the alphabet only in C.
 A document of at least ``_READ_MIN`` characters is read by
 :func:`_load_document`: one regex pass finds each bracketed run of at
 least ``_READ_MIN`` characters of digits, commas, minus signs and JSON
-whitespace outside any string, one ``np.fromstring`` reads it as int64,
-and counts of its commas, digit runs, digits and minus signs show that
-the run is exactly a JSON array of canonical integers below ``10**18``
-in absolute value.  An accepted run reaches the document as an int64
-array, and any other run is left to ``json``.  Shorter documents, and
-documents whose text holds ``NaN`` or ``Infinity``, go to ``json.loads``
-as they are.  An int64 ``values`` row needs no further check, and when
-every row is one the matrix is one ``np.stack``.  Any other array field
+whitespace outside any string, and :func:`_read_ints` checks the JSON
+integer-array grammar and decodes the digits with whole-array numpy
+passes over its bytes, for entries below ``10**18`` in absolute value.
+An accepted run reaches the document as an int64 array, and any other
+run is left to ``json``.  Shorter documents, and documents with ``NaN``
+or ``Infinity`` outside a string, go to ``json.loads`` as they are.  An
+int64 ``values`` row needs no further check, and when every row is one
+the matrix is one ``np.stack``.  Any other array field
 (``values``, ``samples``, ``prior``) is validated in one pass of
 ``set(map(type, xs))``, plus ``min`` and ``max`` for ``samples`` and
 ``min`` for ``prior``; ``values`` gets the type check only.  Only when
@@ -40,7 +40,6 @@ import math
 import os
 import re
 import sys
-import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,56 +122,79 @@ def _all_ints(values: list) -> bool:
     return set(map(type, values)) <= {int}
 
 
-# Below this many characters, json reads an integer array faster than the
-# regex pass and the numpy checks: a problem with three rows and a prior of
-# entries 0..4 parses in the same time either way at rows of 1024
-# characters, 2.7x slower through numpy at 128 and 1.3x faster at 2048.
+# Below this many characters, json reads an integer array about as fast as
+# the regex pass and the numpy decoder.  A problem with three rows and a
+# prior, in compact JSON, parses through numpy in 0.45x json's time at rows
+# of 1025 characters of entries 0..4 (break-even near 300 characters), but
+# in 1.2x at rows of 1387 characters of entries 0..255 (break-even between
+# 1500 and 1800), so the gate sits between the two.
 _READ_MIN = 1024
-# a JSON string, kept as it is, or a bracketed run long enough to read with numpy
-_TOKENS = re.compile(r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"|\[([-0-9, \t\n\r]{%d,})\]' % _READ_MIN)
-_MINUS_GAP = re.compile(r"-(?![0-9])")
-_INT_BOUND = 10**18
+# a JSON string, kept as it is; a bracketed run long enough to read with
+# numpy; or a constant outside any string, which sends the text to json
+_TOKENS = re.compile(r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"|\[([-0-9, \t\n\r]{%d,})\]|(NaN|Infinity)' % _READ_MIN)
+
+
+def _run_count(digit: np.ndarray) -> int:
+    """The number of runs of ``True`` in a boolean array."""
+    return digit[0] + np.count_nonzero(digit[1:] > digit[:-1])
 
 
 def _read_ints(body: str) -> np.ndarray | None:
     """The int64 array of a JSON array body, or ``None`` if ``json`` might read it otherwise.
 
-    ``np.fromstring`` also reads what JSON rejects (a leading zero, a blank
-    entry as 0, ``- 1``) and clips what does not fit, so the result is kept
-    only when it accounts for every character: one entry per comma plus
-    one, one digit run per entry, each minus sign directly before a digit
-    and on a negative entry (so ``-0`` is left to ``json``), as many digits
-    as the entries' canonical text, and every entry below ``10**18`` in
-    absolute value.
+    The body is a run of digits, commas, minus signs and JSON whitespace.
+    Whitespace may not split a number (``1 2``, ``- 1``), so it is checked
+    and dropped first.  What is left is read only when it is exactly
+    ``-?D+(,-?D+)*`` for digit runs ``D`` without a leading zero and of at
+    most 18 digits, so every entry is below ``10**18`` in absolute value;
+    ``-0`` reads as 0, as in ``json``.
+
+    >>> _read_ints("3, -12,0").tolist()
+    [3, -12, 0]
+    >>> [_read_ints(body) for body in ("1 2", "- 1", "01", "1,,2", "1-2", " ")]
+    [None, None, None, None, None, None]
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            ints = np.fromstring(body, dtype=np.int64, sep=",")
-        except (DeprecationWarning, ValueError):
+    raw = body.encode("ascii")
+    chars = np.frombuffer(raw, np.uint8)
+    if chars.min() < 33:  # whitespace is the only such character the regex passes
+        digit = (chars - np.uint8(48)) < 10
+        minus = chars == ord("-")
+        if (minus[:-1] > digit[1:]).any():  # "- 1"; a final minus sign fails below
             return None
-    chars = np.frombuffer(body.encode("ascii"), np.uint8)
-    digit = (chars - np.uint8(ord("0"))) < 10  # wraps below "0", so only the ten digits pass
-    n = len(ints)
-    if n != np.count_nonzero(chars == ord(",")) + 1:
-        return None
-    if n != digit[0] + np.count_nonzero(digit[1:] > digit[:-1]):
-        return None
-    lo, hi = ints.min(), ints.max()
-    if not -_INT_BOUND < lo <= hi < _INT_BOUND:
-        return None
-    magnitude = ints
-    minus = np.count_nonzero(chars == ord("-"))
-    if minus or lo < 0:
-        if minus != np.count_nonzero(ints < 0) or _MINUS_GAP.search(body):
+        runs = _run_count(digit)
+        chars = np.frombuffer(raw.translate(None, b" \t\n\r"), np.uint8)
+        if not len(chars) or _run_count((chars - np.uint8(48)) < 10) != runs:
             return None
-        magnitude = np.abs(ints)
-        hi = magnitude.max()
-    digits, power = n, 10
-    while power <= hi:
-        digits += np.count_nonzero(magnitude >= power)
-        power *= 10
-    return ints if digits == np.count_nonzero(digit) else None
+    val = chars - np.uint8(48)
+    digit = val < 10  # wraps below "0", so only the ten digits pass
+    if chars[0] == ord(",") or not digit[-1]:
+        return None
+    comma = chars == ord(",")
+    minus = chars == ord("-")
+    signed = minus.any()
+    # a comma only after a digit, a minus sign only first or after a comma
+    if (comma[1:] > digit[:-1]).any() or signed and (minus[1:] > comma[:-1]).any():
+        return None
+    count = np.count_nonzero(digit)
+    if not signed and len(chars) == 2 * count - 1:  # one digit per entry: "D,D,...,D"
+        return val[::2].astype(np.int64)
+    first = digit.copy()
+    np.greater(digit[1:], digit[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    ints = val[starts].astype(np.int64)
+    if len(starts) < count:  # some entry has more than one digit
+        last = digit.copy()
+        np.greater(digit[:-1], digit[1:], out=last[:-1])
+        length = np.flatnonzero(last) - starts + 1
+        longest = length.max()
+        if longest > 18 or not ints[length > 1].all():
+            return None
+        for k in range(1, longest):
+            ints = np.where(length > k, ints * 10 + val.take(starts + k, mode="clip"), ints)
+    if signed:
+        # the character before a run at 0 is the last one, a digit
+        np.negative(ints, out=ints, where=chars[starts - 1] == ord("-"))
+    return ints
 
 
 def _load_document(text: str):
@@ -180,27 +202,28 @@ def _load_document(text: str):
 
     Each run of ``_TOKENS`` that ``_read_ints`` accepts is replaced by the
     constant ``NaN``, which ``parse_constant`` turns back into its array in
-    document order; the text holds no other constant.  Since a string
-    token is kept whole, no bracket inside a string is read.  Any decoding
-    error is raised from the original text, so its message and position
-    are those of ``json.loads``.
+    document order.  A text with ``NaN`` or ``Infinity`` outside a string
+    goes to ``json`` as it is, so the rewritten text holds no other
+    constant.  Since a string token is kept whole, no bracket or constant
+    inside a string is read.  Any decoding error is raised from the
+    original text, so its message and position are those of ``json.loads``.
     """
-    if len(text) < _READ_MIN or "NaN" in text or "Infinity" in text:
+    if len(text) < _READ_MIN:
         return json.loads(text, parse_float=Fraction)
-    arrays = []
-
-    def replace(match):
-        body = match.group(1)
+    pieces, arrays, end = [], [], 0
+    for match in _TOKENS.finditer(text):
+        body, constant = match.groups()
+        if constant:
+            return json.loads(text, parse_float=Fraction)
         ints = None if body is None else _read_ints(body)
-        if ints is None:
-            return match.group(0)
-        arrays.append(ints)
-        return "NaN"
-
-    short = _TOKENS.sub(replace, text)
+        if ints is not None:
+            pieces += text[end:match.start()], "NaN"
+            arrays.append(ints)
+            end = match.end()
+    pieces.append(text[end:])
     read = iter(arrays)
     try:
-        return json.loads(short, parse_float=Fraction, parse_constant=lambda _: next(read))
+        return json.loads("".join(pieces), parse_float=Fraction, parse_constant=lambda _: next(read))
     except json.JSONDecodeError:
         return json.loads(text, parse_float=Fraction)
 

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricmaxent.cli import _READ_MIN, InputError, _emit, _load_document, main, parse_problem
+from toricmaxent.cli import _READ_MIN, InputError, _emit, _load_document, _read_ints, main, parse_problem
 from toricmaxent.maxent import fit_numeric
 from toricmaxent.ratpoly import parse_poly, poly_to_text
 
@@ -308,6 +309,8 @@ _ENTRIES = ["0", "1", "4", "-3", "17", "123456789012345678", "-99999999999999999
 _SEPARATORS = [",", ", ", " ,", ",\n", ",\t", ",\r\n  "]
 # strings with brackets, escaped quotes and constant names in them
 _STRINGS = ["plain", "[1, 2, 3]", 'say \\"[0, 1]\\"', "\\\\", "NaN", "-Infinity", "[", "]\\u005b"]
+# values with a constant outside any string
+_CONSTANTS = ["NaN", "-Infinity", "Infinity", "[1, NaN]", '{"k": -Infinity}']
 
 
 @st.composite
@@ -326,6 +329,8 @@ def _long_documents(draw):
         parts.append('"%s%d": %s' % (key, i, value))
         if draw(st.booleans()):
             parts.append('"s%d": "%s"' % (i, draw(st.sampled_from(_STRINGS))))
+        if draw(st.integers(0, 3)) == 0:
+            parts.append('"c%d": %s' % (i, draw(st.sampled_from(_CONSTANTS))))
     text = "{" + ", ".join(parts) + "}"
     # half the documents end in a syntax error after their last array
     return text + draw(st.one_of(st.sampled_from(["", "\n"]), st.sampled_from([" x", ",", "}", "]"])))
@@ -345,6 +350,46 @@ def test_load_document_agrees_with_json(text):
         return
     # repr, since a NaN is not equal to itself
     assert repr(_plain(_load_document(text))) == repr(expected)
+
+
+def test_read_ints_accepts_exactly_the_json_integer_arrays():
+    # every body of 1..6 characters over "01-, \n": 55,986 bodies
+    accepted = 0
+    for size in range(1, 7):
+        for chars in itertools.product("01-, \n", repeat=size):
+            body = "".join(chars)
+            try:
+                expected = json.loads("[" + body + "]")
+            except json.JSONDecodeError:
+                expected = []
+            ints = _read_ints(body)
+            if expected:
+                assert ints is not None and ints.dtype == np.int64 and ints.tolist() == expected, body
+                accepted += 1
+            else:
+                assert ints is None, body
+    assert accepted == 4052
+
+
+def test_constants_inside_strings_leave_the_arrays_to_numpy(monkeypatch):
+    import toricmaxent.cli as cli
+
+    read = []
+    original = cli._read_ints
+    monkeypatch.setattr(cli, "_read_ints", lambda body: read.append(original(body)) or read[-1])
+    row = [j % 5 for j in range(_READ_MIN)]
+    doc = {"NaN": row, "note": "NaN, Infinity and -Infinity", "-Infinity": [[-v for v in row]]}
+    loaded = _load_document(json.dumps(doc))
+    assert sum(ints is not None for ints in read) == 2
+    assert isinstance(loaded["NaN"], np.ndarray) and isinstance(loaded["-Infinity"][0], np.ndarray)
+    assert _plain(loaded) == doc
+
+
+@pytest.mark.parametrize("constant", [math.nan, -math.inf])
+def test_a_constant_outside_strings_sends_the_document_to_json(constant):
+    text = json.dumps({"values": [j % 5 for j in range(_READ_MIN)], "target": constant})
+    # repr, since a NaN is not equal to itself; every array stays a list
+    assert repr(_load_document(text)) == repr(json.loads(text, parse_float=Fraction))
 
 
 # --- fit command ---
