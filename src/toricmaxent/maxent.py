@@ -18,7 +18,7 @@ bisection on integers over a common denominator).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -140,7 +140,10 @@ class FitResult:
 
     ``xi`` are the exponential-family parameters (``p_j`` proportional to
     ``h_j * exp(-sum_i xi_i t_i(j))``); ``xi_empirical`` is ``xi / N`` when
-    the fit came from samples.
+    the fit came from samples.  ``classes`` maps each symbol to its column
+    class when a numeric fit without a prior merged equal columns, and is
+    ``None`` otherwise; ``p`` is then meant to be constant on each class,
+    though its last bits may differ within one (see :func:`fit_numeric`).
     """
 
     xi: tuple[float, ...]
@@ -150,6 +153,7 @@ class FitResult:
     iterations: int
     solver: str
     xi_empirical: tuple[float, ...] | None = None
+    classes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -328,8 +332,8 @@ def dual_objective(system: PolySystem, theta: Sequence) -> float:
 _CLASS_MIN_M = 256
 
 
-def _column_classes(arr: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct columns ``C`` of ``arr`` in lexicographic order, and the summed weight ``H`` of each.
+def _column_classes(arr: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Distinct columns ``C`` of ``arr`` in lexicographic order, the summed weight ``H`` of each, and each symbol's class.
 
     Symbols with the same column share ``theta^(a_j)``, so they enter every
     moment and the normalizer only through the sum of their weights.  A
@@ -337,25 +341,29 @@ def _column_classes(arr: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndar
     the weights are binned by key, in alphabet order, and the classes decoded
     from the keys present.  The weights are summed relative to the largest,
     since only their ratios matter and a sum of weights near float range
-    would overflow.  Only a key range of at most ``m / 2`` is binned, so that
-    merging at least halves the columns; beyond it ``(arr, h)`` come back as
-    they are, at the cost of one min and max per row.
+    would overflow.  The class of symbol ``j`` is the rank of its key among
+    the keys present, so ``C[:, index] == arr``.  Only a key range of at
+    most ``m / 2`` is binned, so that merging at least halves the columns;
+    beyond it ``(arr, h, None)`` come back, at the cost of one min and max
+    per row.
     """
     d, m = arr.shape
     mins = arr.min(axis=1)
     spans = (arr.max(axis=1) - mins + 1).tolist()
     size = math.prod(spans)
     if 2 * size > m:
-        return arr, h
+        return arr, h, None
     radix = [1] * d
     for i in range(d - 1, 0, -1):
         radix[i - 1] = radix[i] * int(spans[i])
     keys = np.dot(np.array(radix, dtype=float), arr - mins[:, None]).astype(np.intp)
     # a class whose weights are all far below the largest may sum to zero
-    present = np.bincount(keys, minlength=int(size)).nonzero()[0]
+    counts = np.bincount(keys, minlength=int(size))
+    present = counts.nonzero()[0]
+    rank = np.cumsum(counts > 0) - 1
     sums = np.bincount(keys, weights=h / h.max(), minlength=int(size))
     digits = present // np.array(radix)[:, None] % np.array(spans, dtype=np.intp)[:, None]
-    return digits + mins[:, None], sums[present]
+    return digits + mins[:, None], sums[present], rank[keys]
 
 
 def _fit_gis(columns, weights, targets, tol, max_iter):
@@ -458,7 +466,12 @@ def fit_numeric(
     weighted by the summed prior of its symbols, so an iteration costs time
     in the number of distinct columns, at most ``m / 2``, not in ``m``.
     Otherwise they iterate over the symbols.  The fitted ``p`` is expanded
-    over the alphabet once, by :func:`model_distribution`.
+    over the alphabet once, by :func:`model_distribution`, from the full
+    matrix.  A merged fit without a prior also returns each symbol's class
+    as ``FitResult.classes``, so that ``p`` can be printed once per class.
+    Symbols of one class do not always get the same bits, since the product
+    of ``xi`` with the matrix rounds per symbol, so a reader of ``classes``
+    must check ``p`` against it.
 
     Parameters
     ----------
@@ -492,17 +505,19 @@ def fit_numeric(
     arr = problem.matrix.to_array()
     h = _prior_floats(problem.matrix, problem.prior)
     targets = _as_floats(problem.target_values(), "targets")
-    columns, weights = (arr, h) if problem.m < _CLASS_MIN_M else _column_classes(arr, h)
+    columns, weights, classes = (arr, h, None) if problem.m < _CLASS_MIN_M else _column_classes(arr, h)
     if solver == "gis":
         xi, iterations = _fit_gis(columns, weights, targets, tol, max_iter or GIS_MAX_ITER)
     elif solver == "newton":
         xi, iterations = _fit_newton(columns, weights, targets, tol, max_iter or NEWTON_MAX_ITER)
     else:
         raise ValueError(f"unknown solver {solver!r}")
-    return _package_fit(problem, arr, h, targets, np.asarray(xi), iterations, solver)
+    if problem.prior is not None:
+        classes = None  # a prior makes ``p`` differ within a class
+    return _package_fit(problem, arr, h, targets, np.asarray(xi), iterations, solver, classes)
 
 
-def _package_fit(problem, arr, h, targets, xi, iterations, solver) -> FitResult:
+def _package_fit(problem, arr, h, targets, xi, iterations, solver, classes=None) -> FitResult:
     p, log_z = model_distribution(problem.matrix, xi, h)
     residual = float(np.max(np.abs(arr @ p.to_array() - targets)))
     xi_empirical = None
@@ -516,6 +531,7 @@ def _package_fit(problem, arr, h, targets, xi, iterations, solver) -> FitResult:
         iterations=iterations,
         solver=solver,
         xi_empirical=xi_empirical,
+        classes=classes,
     )
 
 

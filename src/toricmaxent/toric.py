@@ -210,23 +210,26 @@ def _exact(probs: tuple) -> bool:
     return all(issubclass(kind, (int, Fraction)) for kind in set(map(type, probs)))
 
 
-@dataclass(frozen=True)
 class DistributionVector:
     """Point of the probability simplex; float or exact rational entries.
 
     A tuple of exact rationals (``int`` or ``Fraction``) is checked exactly
     and stays exact.  Any other input, a tuple with a float entry or a 1-D
     float array, is copied to a float array and checked in vectorized
-    passes, and its entries become the Python floats of ``probs``.  Either
-    way the float array is built once, at construction, and kept read-only
-    for :meth:`to_array`.
+    passes.  Its sum is the builtin ``sum`` over a memoryview of that
+    array, which yields the Python floats of ``probs`` in their order, so
+    the total is the one the tuple would give on the running interpreter.
+    Either way the float array is built once, at construction, and kept
+    read-only for :meth:`to_array`; the float tuple ``probs`` is built on
+    first use.  Two vectors are equal, and hash alike, when their ``probs``
+    are, as for a frozen dataclass of ``probs``.
     """
 
-    probs: tuple
-
-    def __post_init__(self) -> None:
-        probs = self.probs if isinstance(self.probs, np.ndarray) else tuple(self.probs)
-        if isinstance(probs, tuple) and _exact(probs):
+    def __init__(self, probs) -> None:
+        if not isinstance(probs, np.ndarray):
+            probs = tuple(probs)
+        exact = isinstance(probs, tuple) and _exact(probs)
+        if exact:
             if not probs:
                 raise ValueError("empty distribution")
             if any(map(lt, probs, repeat(0))):
@@ -235,6 +238,7 @@ class DistributionVector:
             if total != 1:
                 raise ValueError(f"exact distribution sums to {total}, not 1")
             arr = _as_floats(probs, "probabilities")
+            object.__setattr__(self, "probs", probs)
         else:
             arr = _as_floats(probs, "probabilities")
             if arr is probs:  # keep a copy: the caller may write to its array later
@@ -246,19 +250,30 @@ class DistributionVector:
             # one pass: NaN fails ``>= 0`` as a negative entry does; +inf fails the sum
             if not (arr >= 0).all():
                 raise ValueError("negative probability" if (arr < 0).any() else "probability is not a number")
-            # left to right over Python floats: the total a tuple of the same floats has
-            probs = arr.tolist()
-            total = sum(probs)
+            total = sum(memoryview(arr))
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"distribution sums to {total!r}, not 1")
-            probs = tuple(probs)
         arr.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "_floats", arr)
 
-    @property
-    def exact(self) -> bool:
-        return _exact(self.probs)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @cached_property
+    def probs(self) -> tuple:
+        return tuple(self._floats.tolist())
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.probs == other.probs
+
+    def __hash__(self) -> int:
+        return hash((self.probs,))
+
+    def __repr__(self) -> str:
+        return f"DistributionVector(probs={self.probs!r})"
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(x) for x in self.probs)
@@ -268,7 +283,7 @@ class DistributionVector:
         return self._floats
 
     def __len__(self) -> int:
-        return len(self.probs)
+        return len(self._floats)
 
     def __iter__(self):
         return iter(self.probs)

@@ -1110,9 +1110,9 @@ def test_emit_bytes_of_edge_values(case):
         assert out.getvalue() == expected
 
 
-def _emitted(payload, fmt) -> str:
+def _emitted(payload, fmt, classes=None) -> str:
     out = io.StringIO()
-    _emit(out, payload, fmt)
+    _emit(out, payload, fmt, classes)
     return out.getvalue()
 
 
@@ -1159,18 +1159,49 @@ def test_emitted_float_array_edge_cases(values):
     assert _emitted({"p": arr}, "text") == _emitted({"p": values}, "text")
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_large_fit_p_field_is_the_formatted_join(write_json, fmt):
-    doc = _large_problem(3, 10_000, 3, "prior")
+@pytest.mark.parametrize("change", ["none", "one entry bumped", "0.0 and -0.0 in one class", "one class"])
+def test_emitted_classes_equal_the_formatted_join(change):
+    # entries meant to be equal per class; where one is not, every entry must still print as itself
+    rng = np.random.default_rng(30)
+    classes = rng.integers(0, 7, size=300)
+    values = rng.random(7)
+    if change == "one class":
+        classes[:] = 0
+    if change == "0.0 and -0.0 in one class":
+        values[2] = 0.0
+    arr = values[classes]
+    if change == "one entry bumped":
+        arr[np.flatnonzero(classes == 4)[1]] = np.nextafter(values[4], 1.0)
+    if change == "0.0 and -0.0 in one class":
+        arr[np.flatnonzero(classes == 2)[0]] = -0.0
+    assert _emitted({"p": arr}, "json", classes) == '{"p": [' + _reference_floats(arr.tolist(), ", ") + "]}\n"
+    assert _emitted({"p": arr}, "text", classes) == "p: " + _reference_floats(arr.tolist(), " ") + "\n"
+
+
+def _assert_large_fit_p_field_is_the_formatted_join(write_json, mode, fmt):
+    doc = _large_problem(3, 10_000, 3, mode)
     code, out, err = run(["fit", write_json(doc), "--format", fmt])
     assert (code, err) == (0, "")
-    probs = fit_numeric(parse_problem(json.dumps(doc)).to_problem()).p.probs
+    fit = fit_numeric(parse_problem(json.dumps(doc)).to_problem())
+    # without a prior the emitter is handed each symbol's column class
+    assert (fit.classes is None) == (mode == "prior")
+    probs = fit.p.probs
     # at most one value per column and prior weight, so each is formatted once
     assert len(set(probs)) <= 5**3 * 3
     if fmt == "json":
         assert f'"p": [{_reference_floats(probs, ", ")}]' in out
     else:
         assert f"\np: {_reference_floats(probs, ' ')}\n" in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_large_fit_p_field_is_the_formatted_join(write_json, fmt):
+    _assert_large_fit_p_field_is_the_formatted_join(write_json, "prior", fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_prior_free_fit_p_field_is_the_formatted_join(write_json, fmt):
+    _assert_large_fit_p_field_is_the_formatted_join(write_json, "samples", fmt)
 
 
 # --- numbers beyond float range ---

@@ -802,11 +802,13 @@ def test_column_classes_match_a_dict_over_the_columns(case):
     rows, weights = COLUMN_CLASS_CASES[case]
     m = len(rows[0])
     weights = np.ones(m) if weights is None else np.array(weights)
-    columns, sums = _column_classes(np.array(rows, dtype=float), weights)
+    arr = np.array(rows, dtype=float)
+    columns, sums, index = _column_classes(arr, weights)
     expected_columns, expected_sums = _dict_classes(rows, (weights / weights.max()).tolist())
     assert columns.shape == expected_columns.shape
     assert (columns == expected_columns).all()
     assert (sums == expected_sums).all()
+    assert (columns[:, index] == arr).all()
 
 
 WIDE_KEY_RANGE_CASES = {
@@ -821,8 +823,8 @@ WIDE_KEY_RANGE_CASES = {
 def test_column_classes_leave_a_key_range_beyond_half_of_m_as_it_is(case):
     rows, weights = WIDE_KEY_RANGE_CASES[case]
     arr, h = np.array(rows, dtype=float), np.array(weights)
-    columns, sums = _column_classes(arr, h)
-    assert columns is arr and sums is h
+    columns, sums, index = _column_classes(arr, h)
+    assert columns is arr and sums is h and index is None
 
 
 # --- exact fitting front door ---

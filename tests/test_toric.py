@@ -216,6 +216,26 @@ def test_distribution_array_is_accepted_as_its_tuple():
         DistributionVector(np.full((2, 2), 0.25))
 
 
+@pytest.mark.parametrize("probs", [
+    # left to right 1.0000000000029998; compensated, as sum() is from Python 3.12 on, 1.000000000003
+    [0.1] * 10 + [3e-12],
+    # left to right 1.0, within the bound; compensated 1.000000000002, beyond it
+    [1.0] + [1e-16] * 20_000,
+])
+def test_distribution_float_sum_is_the_builtin_sum_of_its_floats(probs):
+    arr = np.array(probs)
+    total = sum(arr.tolist())
+    if abs(total - 1.0) > 1e-12:
+        with pytest.raises(ValueError) as info:
+            DistributionVector(arr)
+        assert str(info.value) == f"distribution sums to {total!r}, not 1"
+    else:
+        p = DistributionVector(arr)
+        assert "probs" not in vars(p)  # built on first use
+        assert type(p.probs) is tuple and p.probs == tuple(arr.tolist())
+        assert all(type(x) is float for x in p.probs)
+
+
 def test_distribution_entries_beyond_float_range():
     # a float check cannot hold a huge int; an exact tuple is checked exactly first
     with pytest.raises(ValueError) as info:
