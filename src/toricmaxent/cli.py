@@ -26,16 +26,23 @@ first bad index.  Rows that are not all int64 arrays become the matrix
 through one ``np.array`` call: an int64 array, or an object array of the
 same ints when an entry does not fit, so a huge entry still reaches the
 exact path.  A numeric fit converts the matrix to floats
-once and never builds tuples of Python ints.  Any list or tuple that is
-not all strings is emitted by one ``%`` call.  A fitted ``p`` is emitted
-from the float array of ``DistributionVector.to_array()``.  A fit without
-a prior whose solver merged equal columns hands the emitter each symbol's
-column class, and when every entry of ``p`` has its class's bits, each
-class's value is formatted once and the texts are gathered by class, with
-no pass over the alphabet in Python.  Otherwise, when ``p`` is long and at
-most three quarters of its entries are distinct, as in a toric model with
-few distinct columns and weights, ``np.unique`` finds the distinct
-values and each is formatted once.
+once and never builds tuples of Python ints.
+
+:func:`_emit` is the one serializer.  It writes a payload key by key, as
+one JSON object or as ``key: value`` lines, and never holds the whole
+output as one string.  A float, a list of numbers and a float array are
+all formatted by one function, and :func:`_join_array` writes a list or
+an array ``_CHUNK`` entries at a time.
+A fitted ``p`` is emitted from the float array of
+``DistributionVector.to_array()``.  A fit without a prior whose solver
+merged equal columns hands the emitter each symbol's column class, and
+when every entry of ``p`` has its class's bits, each class's value is
+formatted once and the texts are gathered by class, with no pass over the
+alphabet in Python.  Otherwise, when ``p`` is long and at most three
+quarters of its entries are distinct, as in a toric model with few
+distinct columns and weights, ``np.unique`` finds the distinct values and
+each is formatted once.  Either way every distinct text is made before
+the first write, and each write gathers the texts of one chunk.
 """
 
 from __future__ import annotations
@@ -325,97 +332,91 @@ def parse_problem(text: str) -> ProblemDef:
 
 _REAL_FORMAT = "%.17g"
 
-
-def _format_real(x: float) -> str:
-    return _REAL_FORMAT % float(x)
-
-
 # Below this length, sorting and gathering cost more than formatting every entry.
 _GATHER_MIN = 32
 # Above this share of distinct entries, gathering costs about as much as
 # formatting every entry: at m = 10^3..10^5 the two break even between 0.8
 # and 0.9 of m, and gathering takes 0.83-0.87 of the time at 0.75.
 _GATHER_SHARE = 0.75
+# Entries of a float array formatted or gathered per write, so the text in
+# memory at once stays near 1.5 MB whatever the length of the array.
+_CHUNK = 1 << 16
 
 
 def _format_floats(values, sep: str) -> str:
     return sep.join([_REAL_FORMAT] * len(values)) % tuple(values)
 
 
-def _gather(values: np.ndarray, index: np.ndarray, sep: str) -> str:
-    """The texts of ``values[index]``, joined by ``sep``, each value formatted once."""
-    # no ``%.17g`` text contains a space, so splitting on ``sep`` recovers each one
-    texts = np.array(_format_floats(values.tolist(), sep).split(sep), dtype=object)
-    return sep.join(texts[index].tolist())
+def _join_array(out, values, sep: str, classes: np.ndarray | None = None) -> None:
+    """Write ``%.17g`` of each entry of a list of numbers or a float64 array, joined by ``sep``.
 
-
-def _join_array(arr: np.ndarray, sep: str, classes: np.ndarray | None = None) -> str:
-    """``%.17g`` of each entry of a float64 array, joined by ``sep``.
-
-    Entries are compared by bit pattern, so ``0.0`` and ``-0.0`` stay apart
-    and every NaN prints as itself.  ``classes``, when given, maps each
-    entry to one of the classes ``0..K-1``, each of which has an entry, as
-    the column classes of a fit without a prior do.  When one vectorized
-    comparison finds every entry equal to an entry of its class, that
-    entry is formatted once per class and the texts are gathered by class.
+    Array entries are compared by bit pattern, so ``0.0`` and ``-0.0`` stay
+    apart and every NaN prints as itself.  ``classes``, when given, maps
+    each entry to one of the classes ``0..K-1``, each of which has an entry,
+    as the column classes of a fit without a prior do.  When one vectorized
+    comparison finds every entry equal to an entry of its class, that entry
+    is formatted once per class and the texts are gathered by class.
     Otherwise, when the array has at least ``_GATHER_MIN`` entries and at
     most ``_GATHER_SHARE`` of them are distinct, ``np.unique`` finds the
     distinct values, each is formatted once and the texts are gathered by
-    index; otherwise the whole array takes one ``%`` call.
+    index.  Each class or distinct value is formatted once for the whole
+    array, before the first write, and each write then gathers the texts of
+    ``_CHUNK`` entries; without a gather, each write formats ``_CHUNK``
+    entries.
     """
-    bits = arr.view(np.uint64)
-    if classes is not None:
-        pick = np.empty(classes.max() + 1, dtype=np.intp)
-        pick[classes] = np.arange(len(classes))  # some entry of each class
-        if (bits[pick][classes] == bits).all():
-            return _gather(arr[pick], classes, sep)
-    if len(arr) >= _GATHER_MIN:
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        if len(distinct) <= _GATHER_SHARE * len(arr):
-            return _gather(distinct.view(np.float64), inverse, sep)
-    return _format_floats(arr.tolist(), sep)
-
-
-def _to_json(value, classes=None) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _format_real(value)
-    if isinstance(value, np.ndarray):
-        return "[" + _join_array(value, ", ", classes) + "]"
-    if isinstance(value, (list, tuple)):
-        if set(map(type, value)) <= {str}:
-            return "[" + ", ".join(map(json.dumps, value)) + "]"
-        return "[" + _format_floats(value, ", ") + "]"
-    if isinstance(value, dict):
-        items = (f"{json.dumps(k)}: {_to_json(v, classes)}" for k, v in value.items())
-        return "{" + ", ".join(items) + "}"
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    index = None
+    if isinstance(values, np.ndarray):
+        bits = values.view(np.uint64)
+        if classes is not None:
+            pick = np.empty(classes.max() + 1, dtype=np.intp)
+            pick[classes] = np.arange(len(classes))  # some entry of each class
+            if (bits[pick][classes] == bits).all():
+                texts, index = values[pick], classes
+        if index is None and len(values) >= _GATHER_MIN:
+            distinct, inverse = np.unique(bits, return_inverse=True)
+            if len(distinct) <= _GATHER_SHARE * len(values):
+                texts, index = distinct.view(np.float64), inverse
+        if index is not None:
+            # no ``%.17g`` text contains a space, so splitting on ``sep`` recovers each one
+            texts = np.array(_format_floats(texts, sep).split(sep), dtype=object)
+    for start in range(0, len(values), _CHUNK):
+        if start:
+            out.write(sep)
+        stop = start + _CHUNK
+        if index is None:
+            out.write(_format_floats(values[start:stop], sep))
+        else:
+            out.write(sep.join(texts[index[start:stop]].tolist()))
 
 
 def _emit(out, payload: dict, fmt: str, classes=None) -> None:
-    """Write ``payload``; ``classes`` maps the entries of its float array to classes, as :func:`_join_array` takes it."""
-    if fmt == "json":
-        out.write(_to_json(payload, classes) + "\n")
-        return
-    for key, value in payload.items():
-        if isinstance(value, float):
-            out.write(f"{key}: {_format_real(value)}\n")
-        elif isinstance(value, np.ndarray):
-            out.write(f"{key}: {_join_array(value, ' ', classes)}\n")
-        elif isinstance(value, (list, tuple)) and set(map(type, value)) <= {str}:
-            for v in value:
-                out.write(f"{key}: {v}\n")
-        elif isinstance(value, (list, tuple)):
-            out.write(f"{key}: {_format_floats(value, ' ')}\n")
+    """Write ``payload`` key by key, as one JSON object or as ``key: value`` lines.
+
+    A float, a list of numbers and a float array are formatted by
+    :func:`_format_floats`, the lists through :func:`_join_array`, which
+    takes ``classes`` for the array; JSON puts brackets around the lists.
+    Every other value is written by ``json.dumps`` in JSON, and as itself
+    in text, where a list of strings takes one line per entry.
+    """
+    as_json = fmt == "json"
+    sep, end = (", ", "") if as_json else (" ", "\n")
+    if as_json:
+        out.write("{")
+    for n, (key, value) in enumerate(payload.items()):
+        head = f"{', ' if n else ''}{json.dumps(key)}: " if as_json else f"{key}: "
+        strings = isinstance(value, (list, tuple)) and set(map(type, value)) <= {str}
+        if strings and not as_json:
+            out.writelines(f"{head}{v}\n" for v in value)
+        elif isinstance(value, float):
+            out.write(head + _format_floats([value], sep) + end)
+        elif isinstance(value, (list, tuple, np.ndarray)) and not strings:
+            out.write(head + "[" if as_json else head)
+            _join_array(out, value, sep, classes)
+            out.write("]" if as_json else end)
         else:
-            out.write(f"{key}: {value}\n")
+            out.write(head + (json.dumps(value) if as_json else str(value)) + end)
+    if as_json:
+        out.write("}\n")
 
 
 def _read_text(path: str) -> str:

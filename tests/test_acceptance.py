@@ -391,3 +391,17 @@ def test_12_groebner_and_newton_agree_where_the_exact_path_applies(case):
     numeric = fit_numeric(problem, solver="newton")
     # tolerance 1e-9: 10x the default moment tolerance
     assert max(abs(a - b) for a, b in zip(exact.p, numeric.p)) <= 1e-9
+
+    # check accepts what the groebner fit produces, prior included
+    target = Fraction(target)
+    doc = {"m": matrix.m, "constraints": [{"name": "f1", "values": list(matrix.rows[0]), "target": f"{target.numerator}/{target.denominator}"}]}
+    if prior is not None:
+        doc["prior"] = prior
+    doc = json.dumps(doc)
+    code, fitted, _ = run_cli(["fit", "-", "--solver", "groebner", "--format", "json"], stdin=doc)
+    assert code == 0
+    with tempfile.TemporaryDirectory() as tmp:
+        dist = os.path.join(tmp, "fitted.json")
+        with open(dist, "w") as fh:
+            fh.write(fitted)
+        assert run_cli(["check", "-", "--dist", dist], stdin=doc)[0] == 0

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricmaxent import cli
 from toricmaxent.cli import _READ_MIN, InputError, _emit, _load_document, _read_ints, main, parse_problem
 from toricmaxent.maxent import fit_numeric
 from toricmaxent.ratpoly import parse_poly, poly_to_text
@@ -1139,11 +1140,24 @@ def _float_arrays(draw):
     return np.array(bits, dtype=np.uint64).view(np.float64)
 
 
+# entries per write of a float array: small sizes put chunk boundaries inside
+# every array, and ``None`` keeps the module's own size
+_CHUNK_SIZES = (1, 2, 7, None)
+
+
+def _assert_emitted_is_the_formatted_join(arr, classes=None):
+    for chunk in _CHUNK_SIZES:
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(cli, "_CHUNK", chunk)
+            assert _emitted({"p": arr}, "json", classes) == '{"p": [' + _reference_floats(arr.tolist(), ", ") + "]}\n"
+            assert _emitted({"p": arr}, "text", classes) == "p: " + _reference_floats(arr.tolist(), " ") + "\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(_float_arrays())
 def test_emitted_float_array_equals_the_formatted_join(arr):
-    assert _emitted({"p": arr}, "json") == '{"p": [' + _reference_floats(arr.tolist(), ", ") + "]}\n"
-    assert _emitted({"p": arr}, "text") == "p: " + _reference_floats(arr.tolist(), " ") + "\n"
+    _assert_emitted_is_the_formatted_join(arr)
 
 
 @pytest.mark.parametrize("values", [
@@ -1159,23 +1173,26 @@ def test_emitted_float_array_edge_cases(values):
     assert _emitted({"p": arr}, "text") == _emitted({"p": values}, "text")
 
 
-@pytest.mark.parametrize("change", ["none", "one entry bumped", "0.0 and -0.0 in one class", "one class"])
+@pytest.mark.parametrize("change", [
+    "none", "one entry bumped", "0.0 and -0.0 in one class", "one class", "a class only after the first chunk",
+])
 def test_emitted_classes_equal_the_formatted_join(change):
     # entries meant to be equal per class; where one is not, every entry must still print as itself
     rng = np.random.default_rng(30)
     classes = rng.integers(0, 7, size=300)
-    values = rng.random(7)
+    values = rng.random(8)
     if change == "one class":
         classes[:] = 0
     if change == "0.0 and -0.0 in one class":
         values[2] = 0.0
+    if change == "a class only after the first chunk":
+        classes[[100, 299]] = 7
     arr = values[classes]
     if change == "one entry bumped":
         arr[np.flatnonzero(classes == 4)[1]] = np.nextafter(values[4], 1.0)
     if change == "0.0 and -0.0 in one class":
         arr[np.flatnonzero(classes == 2)[0]] = -0.0
-    assert _emitted({"p": arr}, "json", classes) == '{"p": [' + _reference_floats(arr.tolist(), ", ") + "]}\n"
-    assert _emitted({"p": arr}, "text", classes) == "p: " + _reference_floats(arr.tolist(), " ") + "\n"
+    _assert_emitted_is_the_formatted_join(arr, classes)
 
 
 def _assert_large_fit_p_field_is_the_formatted_join(write_json, mode, fmt):
@@ -1399,16 +1416,20 @@ def test_module_entry_point(write_json):
 
 
 def test_closed_stdout_exits_one_without_a_traceback(write_json):
-    path = write_json(QUAD)
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "toricmaxent", "fit", path, "--format", "json"],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env=_module_env(),
-        )
-    finally:
-        os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, b"")
+    # the prior-free fit at m = 20000 writes about 0.5 MB of p, more than a
+    # pipe buffer, so its pipe breaks inside the writes, not at the last flush
+    m = 20_000
+    large = {"m": m, "constraints": [{"name": "t", "values": [j % 5 for j in range(m)], "target": "3/2"}]}
+    for doc, fmt in ((QUAD, "json"), (large, "json"), (large, "text")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "toricmaxent", "fit", write_json(doc), "--format", fmt],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=_module_env(),
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
